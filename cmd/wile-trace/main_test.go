@@ -64,3 +64,34 @@ func TestJSONRequiresDrops(t *testing.T) {
 		t.Errorf("stderr = %q", errBuf.String())
 	}
 }
+
+// TestMetricsSnapshotGolden pins the byte-for-byte registry snapshot of
+// `wile-trace -metrics f.json fig3a`. The Figure 3a join exercises the mac,
+// sta, ap and medium counters, so any change to what is counted, or to how
+// components expose their counts to the registry, shows up here.
+// Regenerate with WILE_UPDATE_GOLDEN=1 when the change is intentional.
+func TestMetricsSnapshotGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "metrics.json")
+	if code := run([]string{"-metrics", path, "fig3a"}, io.Discard, io.Discard); code != 0 {
+		t.Fatalf("run exited %d", code)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "fig3a_metrics.json")
+	if os.Getenv("WILE_UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden (rerun with WILE_UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("metrics snapshot diverged from golden (%d vs %d bytes); rerun with WILE_UPDATE_GOLDEN=1 if the change is intentional\ngot:\n%s",
+			len(got), len(want), got)
+	}
+}

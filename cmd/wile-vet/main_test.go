@@ -173,3 +173,22 @@ func TestPatternExpansion(t *testing.T) {
 		}
 	}
 }
+
+// TestPatternExpansionSkipsNestedModules: like the go tool, ./... stops at a
+// directory with its own go.mod — the perfbench module is linted (or not)
+// as its own module, never as a package of this one.
+func TestPatternExpansionSkipsNestedModules(t *testing.T) {
+	loader, err := analysis.NewLoader(".")
+	if err != nil {
+		t.Fatalf("loader: %v", err)
+	}
+	paths, err := loader.Expand(".", []string{"../../..."})
+	if err != nil {
+		t.Fatalf("expand: %v", err)
+	}
+	for _, p := range paths {
+		if p == "wile/perfbench" {
+			t.Errorf("pattern expansion must skip nested modules, found %s", p)
+		}
+	}
+}

@@ -31,7 +31,7 @@ func main() {
 	med := wile.NewMedium(sched, wile.Channel(1))
 
 	// One registry carries the fleet-wide aggregates; every sensor, the
-	// phone and the medium itself mirror their counters into it, so the
+	// phone and the medium itself register their counters with it, so the
 	// delivery arithmetic at the end comes from a single snapshot instead
 	// of per-component bookkeeping.
 	reg := wile.NewRegistry()
@@ -91,12 +91,9 @@ func main() {
 	step()
 
 	sched.RunFor(hours * time.Hour)
-	var macTotals wile.MACFleetStats
 	for _, s := range fleet {
 		s.Stop()
-		macTotals.Add(s.Port.Stats)
 	}
-	macTotals.Add(phone.Port.Stats)
 
 	devices := phone.Devices()
 	sort.Slice(devices, func(i, j int) bool { return devices[i].DeviceID < devices[j].DeviceID })
@@ -116,9 +113,9 @@ func main() {
 	fmt.Printf("\nair stats: %d transmissions, %d collisions (CSMA + jitter keep the channel clean)\n",
 		reg.Counter("wile.medium_transmissions").Value(),
 		reg.Counter("wile.medium_collisions").Value())
-	totals, ports := macTotals.Total()
 	fmt.Printf("MAC fleet (%d ports): %d frames on air, %d retries, %d drops, %d duplicates filtered\n",
-		ports, totals.TxFrames, totals.Retries, totals.Drops, totals.RxDuplicates)
+		len(fleet)+1, reg.Counter("mac.tx_frames").Value(), reg.Counter("mac.retries").Value(),
+		reg.Counter("mac.drops").Value(), reg.Counter("mac.rx_duplicates").Value())
 	fmt.Printf("collected %d of %d transmitted readings (%.1f%% delivery, %d duplicates); "+
 		"the gap is radio range, not contention\n",
 		collected, transmitted, 100*float64(collected)/float64(transmitted), duplicates)

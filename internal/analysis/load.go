@@ -178,8 +178,9 @@ func goSources(dir string) ([]string, error) {
 
 // Expand resolves command-line patterns ("./...", "./internal/phy", an
 // import-path-relative directory) against base into module import paths.
-// Directories named testdata, hidden directories, and directories without
-// Go sources are skipped, matching the go tool's pattern rules.
+// Directories named testdata, hidden directories, directories without Go
+// sources and nested modules (a directory with its own go.mod) are skipped,
+// matching the go tool's pattern rules.
 func (l *Loader) Expand(base string, patterns []string) ([]string, error) {
 	var paths []string
 	seen := make(map[string]bool)
@@ -222,6 +223,9 @@ func (l *Loader) Expand(base string, patterns []string) ([]string, error) {
 			}
 			name := d.Name()
 			if path != dir && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && path != dir {
 				return filepath.SkipDir
 			}
 			return add(path)

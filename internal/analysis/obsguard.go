@@ -14,7 +14,11 @@ import (
 //	if p.rec != nil {
 //	    p.rec.Span(p.track, start, p.sched.Now(), "access") // ok
 //	}
-//	p.Metrics.TxFrames.Inc() // flagged unless inside "if p.Metrics != nil"
+//	m.Sweeps.Inc() // flagged unless inside "if m != nil"
+//
+// Component counters need no guard: they live in plain Stats structs the
+// registry reads through views (Registry.CounterView), so only standalone
+// instruments such as the engine metrics are incremented through obs.
 //
 // The frame-provenance ledger follows the same contract: every
 // Resolve/QueueDrop on a *obs.Provenance hook must sit behind a nil guard

@@ -188,9 +188,10 @@ func (a *AP) TraceTo(r *obs.Recorder) {
 	a.track = r.Track(name)
 }
 
-// Observe mirrors the AP's MAC counters into the registry.
+// Observe registers views of the AP's MAC counters in the registry
+// (see mac.Port.Observe).
 func (a *AP) Observe(reg *obs.Registry) {
-	a.Port.Metrics = mac.MetricsFor(reg)
+	a.Port.Observe(reg)
 }
 
 // Start powers the radio and begins the beacon schedule.

@@ -28,9 +28,6 @@ type ReliableSensor struct {
 	OnGiveUp func(batch []Reading)
 	// Stats accumulates counters.
 	Stats ReliableStats
-	// Metrics, when non-nil, mirrors the Stats counters into a shared
-	// metrics registry (see ReliableMetricsFor / Observe).
-	Metrics *ReliableMetrics
 
 	queue   []*pendingBatch
 	running bool
@@ -67,19 +64,19 @@ func NewReliableSensor(s *Sensor, maxAttempts int) *ReliableSensor {
 	return r
 }
 
-// Observe mirrors the reliability counters — and the underlying sensor's —
-// into the registry.
+// Observe registers views of the reliability counters (wile.reliable_*)
+// — and of the underlying sensor's — in the registry.
 func (r *ReliableSensor) Observe(reg *obs.Registry) {
 	r.S.Observe(reg)
-	r.Metrics = ReliableMetricsFor(reg)
+	reg.CounterView("wile.reliable_queued", &r.Stats.Queued)
+	reg.CounterView("wile.reliable_delivered", &r.Stats.Delivered)
+	reg.CounterView("wile.reliable_retransmitted", &r.Stats.Retransmitted)
+	reg.CounterView("wile.reliable_given_up", &r.Stats.GivenUp)
 }
 
 // Queue adds a batch of readings for at-least-once delivery.
 func (r *ReliableSensor) Queue(readings []Reading) {
 	r.Stats.Queued++
-	if r.Metrics != nil {
-		r.Metrics.Queued.Inc()
-	}
 	r.queue = append(r.queue, &pendingBatch{readings: readings})
 }
 
@@ -112,9 +109,6 @@ func (r *ReliableSensor) nextBatch() []Reading {
 	batch := r.queue[0]
 	if batch.attempts > 0 {
 		r.Stats.Retransmitted++
-		if r.Metrics != nil {
-			r.Metrics.Retransmitted.Inc()
-		}
 	}
 	batch.attempts++
 	batch.seq = r.S.Seq() // the sequence number this transmission will use
@@ -132,9 +126,6 @@ func (r *ReliableSensor) handleDownlink(m *Message) {
 	}
 	r.queue = r.queue[1:]
 	r.Stats.Delivered++
-	if r.Metrics != nil {
-		r.Metrics.Delivered.Inc()
-	}
 	if r.OnDelivered != nil {
 		r.OnDelivered(batch.readings, batch.attempts)
 	}
@@ -146,9 +137,6 @@ func (r *ReliableSensor) reapExpired() {
 	for _, b := range r.queue {
 		if b.attempts >= r.MaxAttempts {
 			r.Stats.GivenUp++
-			if r.Metrics != nil {
-				r.Metrics.GivenUp.Inc()
-			}
 			if r.OnGiveUp != nil {
 				r.OnGiveUp(b.readings)
 			}

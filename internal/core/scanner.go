@@ -76,9 +76,6 @@ type Scanner struct {
 	OnMessage func(*Message, Meta)
 	// Stats accumulates receiver-side counters.
 	Stats ScannerStats
-	// Metrics, when non-nil, mirrors the Stats counters into a shared
-	// metrics registry (see ScannerMetricsFor / Observe).
-	Metrics *ScannerMetrics
 
 	devices map[uint32]*DeviceRecord
 }
@@ -144,10 +141,19 @@ func (sc *Scanner) TraceTo(r *obs.Recorder) {
 	sc.Port.TraceTo(r, r.Track(sc.Cfg.Name+" mac"))
 }
 
-// Observe mirrors the scanner's MAC and protocol counters into the registry.
+// Observe registers views of the scanner's MAC and protocol counters in
+// the registry: the port's mac.* counters plus the wile.* receiver counters
+// (beacons_seen, other_beacons, rx_messages, rx_duplicates, decode_errors,
+// encrypted_drops). As for Sensor.Observe, scanners sharing a registry sum
+// and re-wiring changes nothing.
 func (sc *Scanner) Observe(reg *obs.Registry) {
-	sc.Port.Metrics = mac.MetricsFor(reg)
-	sc.Metrics = ScannerMetricsFor(reg)
+	sc.Port.Observe(reg)
+	reg.CounterView("wile.beacons_seen", &sc.Stats.BeaconsSeen)
+	reg.CounterView("wile.other_beacons", &sc.Stats.OtherBeacons)
+	reg.CounterView("wile.rx_messages", &sc.Stats.Messages)
+	reg.CounterView("wile.rx_duplicates", &sc.Stats.Duplicates)
+	reg.CounterView("wile.decode_errors", &sc.Stats.DecodeErrors)
+	reg.CounterView("wile.encrypted_drops", &sc.Stats.EncryptedDrops)
 }
 
 // Start powers the receiver on.
@@ -207,34 +213,20 @@ func (sc *Scanner) handleFrame(f dot11.Frame, rx medium.Reception) {
 	switch {
 	case errors.Is(err, ErrNotWiLE):
 		sc.Stats.OtherBeacons++
-		if sc.Metrics != nil {
-			sc.Metrics.OtherBeacons.Inc()
-		}
 		sc.resolve(rx, obs.Delivered)
 		return
 	case errors.Is(err, ErrNoKey), errors.Is(err, ErrAuth):
 		sc.Stats.BeaconsSeen++
 		sc.Stats.EncryptedDrops++
-		if sc.Metrics != nil {
-			sc.Metrics.BeaconsSeen.Inc()
-			sc.Metrics.EncryptedDrops.Inc()
-		}
 		sc.resolve(rx, obs.DropDecodeError)
 		return
 	case err != nil:
 		sc.Stats.BeaconsSeen++
 		sc.Stats.DecodeErrors++
-		if sc.Metrics != nil {
-			sc.Metrics.BeaconsSeen.Inc()
-			sc.Metrics.DecodeErrors.Inc()
-		}
 		sc.resolve(rx, obs.DropDecodeError)
 		return
 	}
 	sc.Stats.BeaconsSeen++
-	if sc.Metrics != nil {
-		sc.Metrics.BeaconsSeen.Inc()
-	}
 	if msg.Downlink && !sc.Cfg.AcceptDownlink {
 		sc.resolve(rx, obs.Delivered)
 		return
@@ -247,9 +239,6 @@ func (sc *Scanner) handleFrame(f dot11.Frame, rx medium.Reception) {
 	if known && msg.Seq == rec.LastSeq {
 		rec.Duplicates++
 		sc.Stats.Duplicates++
-		if sc.Metrics != nil {
-			sc.Metrics.Duplicates.Inc()
-		}
 		sc.resolve(rx, obs.DropDedupFiltered)
 		return
 	}
@@ -267,9 +256,6 @@ func (sc *Scanner) handleFrame(f dot11.Frame, rx medium.Reception) {
 	rec.LastRSSI = rx.RSSI
 	rec.Last = msg
 	sc.Stats.Messages++
-	if sc.Metrics != nil {
-		sc.Metrics.Messages.Inc()
-	}
 	if sc.OnMessage != nil {
 		sc.OnMessage(msg, Meta{RSSI: rx.RSSI, At: rx.End, BSSID: beacon.BSSID()})
 	}

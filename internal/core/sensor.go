@@ -79,9 +79,6 @@ type Sensor struct {
 	OnDownlink func(*Message)
 	// Stats accumulates transmitter-side counters.
 	Stats SensorStats
-	// Metrics, when non-nil, mirrors the Stats counters into a shared
-	// metrics registry (see SensorMetricsFor / Observe).
-	Metrics *SensorMetrics
 
 	sched   *sim.Scheduler
 	rng     *sim.Rand
@@ -141,10 +138,16 @@ func (s *Sensor) TraceTo(r *obs.Recorder) {
 	s.track = r.Track(name)
 }
 
-// Observe mirrors the sensor's MAC and protocol counters into the registry.
+// Observe registers views of the sensor's MAC and protocol counters in the
+// registry: the port's mac.* counters plus wile.tx_messages,
+// wile.tx_fragments and wile.rx_downlinks. Every sensor wired to one
+// registry adds into the same counters, counts made before wiring are
+// included, and wiring the same registry again changes nothing.
 func (s *Sensor) Observe(reg *obs.Registry) {
-	s.Port.Metrics = mac.MetricsFor(reg)
-	s.Metrics = SensorMetricsFor(reg)
+	s.Port.Observe(reg)
+	reg.CounterView("wile.tx_messages", &s.Stats.Messages)
+	reg.CounterView("wile.tx_fragments", &s.Stats.Fragments)
+	reg.CounterView("wile.rx_downlinks", &s.Stats.Downlinks)
 }
 
 // BuildBeacon constructs the injected frame for the given message: hidden
@@ -197,10 +200,6 @@ func (s *Sensor) TransmitOnce(readings []Reading, done func(ok bool)) {
 		}
 		s.Stats.Messages++
 		s.Stats.Fragments += len(beacon.Elements.Vendors(OUI))
-		if s.Metrics != nil {
-			s.Metrics.Messages.Inc()
-			s.Metrics.Fragments.Add(int64(len(beacon.Elements.Vendors(OUI))))
-		}
 		if s.rec != nil {
 			s.rec.Instant(s.track, s.sched.Now(), "inject-beacon")
 		}
@@ -254,9 +253,6 @@ func (s *Sensor) handleFrame(f dot11.Frame, rx medium.Reception) {
 		return
 	}
 	s.Stats.Downlinks++
-	if s.Metrics != nil {
-		s.Metrics.Downlinks.Inc()
-	}
 	s.OnDownlink(msg)
 }
 

@@ -172,17 +172,11 @@ type Medium struct {
 	// (radio_off, below_sensitivity, collided). Wire it through
 	// ObserveProvenance so already-attached radios get actor ids.
 	Prov *obs.Provenance
-	// Metrics, when non-nil, mirrors Stats into a registry (see Observe).
-	Metrics *Metrics
 
 	nodes   []*Transceiver
 	history []transmission
 	// Stats counts medium-level events for the experiment harness.
 	Stats Stats
-	// mirrored is the portion of Stats already exported into Metrics, so
-	// Observe's back-fill is idempotent (Observe may be called again, and
-	// two media may share one registry's counters).
-	mirrored Stats
 
 	// minSens is the most sensitive floor of any attached radio and maxTx
 	// the strongest attached transmitter; together with Loss they bound
@@ -230,25 +224,6 @@ type Stats struct {
 	Collisions    int
 }
 
-// Metrics mirrors the Stats counters into an obs.Registry as wile.medium_*
-// counters, so examples and CLIs report medium activity without reaching
-// into simulator structs.
-type Metrics struct {
-	Transmissions *obs.Counter
-	Deliveries    *obs.Counter
-	Collisions    *obs.Counter
-}
-
-// MetricsFor returns the registry's shared medium counters, registering
-// them on first use.
-func MetricsFor(reg *obs.Registry) *Metrics {
-	return &Metrics{
-		Transmissions: reg.Counter("wile.medium_transmissions"),
-		Deliveries:    reg.Counter("wile.medium_deliveries"),
-		Collisions:    reg.Counter("wile.medium_collisions"),
-	}
-}
-
 // New builds a medium on the given channel with an indoor path-loss model
 // (exponent 3.0, typical for the home/office environments in the paper).
 func New(sched *sim.Scheduler, ch phy.Channel) *Medium {
@@ -285,51 +260,15 @@ func (m *Medium) Attach(name string, pos Position, txPower, sensitivity phy.DBm)
 	return t
 }
 
-// Observe mirrors the medium's Stats into the registry's wile.medium_*
-// counters (see MetricsFor). Counts accumulated before wiring are
-// back-filled exactly once: calling Observe again (or pointing several
-// media at one registry) never re-adds already-exported counts.
+// Observe registers views of the medium's Stats as the registry's
+// wile.medium_transmissions, wile.medium_deliveries and
+// wile.medium_collisions counters. The registry reads Stats itself at
+// snapshot time, so counts made before wiring are included, wiring the same
+// registry again changes nothing, and media sharing one registry sum.
 func (m *Medium) Observe(reg *obs.Registry) {
-	mm := MetricsFor(reg)
-	if m.Metrics == nil || m.Metrics.Transmissions != mm.Transmissions {
-		// First wiring, or a different registry: nothing of ours has been
-		// exported into these counters yet.
-		m.mirrored = Stats{}
-	}
-	m.Metrics = mm
-	if mm != nil {
-		mm.Transmissions.Add(int64(m.Stats.Transmissions - m.mirrored.Transmissions))
-		mm.Deliveries.Add(int64(m.Stats.Deliveries - m.mirrored.Deliveries))
-		mm.Collisions.Add(int64(m.Stats.Collisions - m.mirrored.Collisions))
-	}
-	m.mirrored = m.Stats
-}
-
-// countTransmission/countDelivery/countCollision bump one Stats counter and
-// its registry mirror together, keeping mirrored in lockstep so Observe's
-// back-fill stays idempotent.
-func (m *Medium) countTransmission() {
-	m.Stats.Transmissions++
-	if m.Metrics != nil {
-		m.Metrics.Transmissions.Inc()
-		m.mirrored.Transmissions++
-	}
-}
-
-func (m *Medium) countDelivery() {
-	m.Stats.Deliveries++
-	if m.Metrics != nil {
-		m.Metrics.Deliveries.Inc()
-		m.mirrored.Deliveries++
-	}
-}
-
-func (m *Medium) countCollision() {
-	m.Stats.Collisions++
-	if m.Metrics != nil {
-		m.Metrics.Collisions.Inc()
-		m.mirrored.Collisions++
-	}
+	reg.CounterView("wile.medium_transmissions", &m.Stats.Transmissions)
+	reg.CounterView("wile.medium_deliveries", &m.Stats.Deliveries)
+	reg.CounterView("wile.medium_collisions", &m.Stats.Collisions)
 }
 
 // ObserveProvenance attaches a frame-provenance ledger, registering every
@@ -425,7 +364,7 @@ func (m *Medium) Transmit(t *Transceiver, data []byte, rate phy.Rate) time.Durat
 	if airtime > m.maxAir {
 		m.maxAir = airtime
 	}
-	m.countTransmission()
+	m.Stats.Transmissions++
 	m.pruneHistory(now)
 
 	// The transmitter senses (and is blinded by) its own frame.
@@ -641,12 +580,12 @@ func (m *Medium) deliverAllPairs(tx transmission, rcv *Transceiver) {
 
 // finishDelivery applies the collision outcome to the counters, the ledger
 // and the payload, then hands the reception to the receiver. Collided
-// receptions count only as collisions: Stats, the registry mirror and the
-// provenance taxonomy all agree that delivered and collided are disjoint.
+// receptions count only as collisions: Stats (and so the registry) and the
+// provenance taxonomy agree that delivered and collided are disjoint.
 func (m *Medium) finishDelivery(tx transmission, rcv *Transceiver, rssi phy.DBm, collided bool) {
 	data := tx.data
 	if collided {
-		m.countCollision()
+		m.Stats.Collisions++
 		if m.Prov != nil {
 			m.Prov.Resolve(tx.frame, rcv.prov, tx.end, obs.DropCollided)
 		}
@@ -658,7 +597,7 @@ func (m *Medium) finishDelivery(tx transmission, rcv *Transceiver, rssi phy.DBm,
 			data = corrupted
 		}
 	} else {
-		m.countDelivery()
+		m.Stats.Deliveries++
 	}
 	rcv.Handler(Reception{
 		Data:     data,

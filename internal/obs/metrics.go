@@ -10,11 +10,21 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing integer metric. Increments are
-// atomic so counters shared across engine workers stay exact; integer
-// addition is commutative, so totals are independent of worker scheduling.
+// Counter is a monotonically increasing integer metric: its own atomic
+// count plus the current values of the views registered on it (see
+// Registry.CounterView). Increments are atomic so counters shared across
+// engine workers stay exact; integer addition is commutative, so totals are
+// independent of worker scheduling and of view registration order.
+//
+// A view is a plain int its component increments without synchronization,
+// so Value (and any snapshot) must run on the goroutine that owns the
+// scheduler of every component viewed by the counter, or after those
+// schedulers have stopped: WriteJSON after a run, a TimeSeries sampling on
+// the kernel goroutine and a check between Scheduler.RunFor calls all do.
 type Counter struct {
-	v atomic.Int64
+	v     atomic.Int64
+	mu    sync.Mutex
+	views map[*int]struct{} // guarded by mu
 }
 
 // Inc adds one.
@@ -23,8 +33,17 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Add adds n.
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
-// Value reports the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+// Value reports the current count: the counter's own increments plus the
+// sum of its views.
+func (c *Counter) Value() int64 {
+	n := c.v.Load()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for src := range c.views {
+		n += int64(*src)
+	}
+	return n
+}
 
 // Gauge is a last-write-wins float metric.
 type Gauge struct {
@@ -127,6 +146,22 @@ func (r *Registry) Counter(name string) *Counter {
 	c := &Counter{}
 	r.register(name, c)
 	return c
+}
+
+// CounterView registers *src as a view of the named counter, creating the
+// counter on first use: from then on the counter's Value includes whatever
+// *src holds when it is read. This is how components export their Stats
+// fields without counting anything twice. Registering the same src again
+// is a no-op, so a component may Observe the same registry any number of
+// times; registration is O(1) however many views a counter has.
+func (r *Registry) CounterView(name string, src *int) {
+	c := r.Counter(name)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.views == nil {
+		c.views = make(map[*int]struct{})
+	}
+	c.views[src] = struct{}{}
 }
 
 // Gauge returns the named gauge, creating it on first use.

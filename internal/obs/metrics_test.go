@@ -149,3 +149,27 @@ func TestRegistryWriteJSONBucketsConsistent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestCounterViews: a counter's value is its own count plus whatever its
+// views hold when read; registering a view again is a no-op.
+func TestCounterViews(t *testing.T) {
+	reg := NewRegistry()
+	var a, b int
+	a = 3 // counted before wiring: a view sees it
+	reg.CounterView("x", &a)
+	reg.CounterView("x", &b)
+	reg.CounterView("x", &a)
+	reg.Counter("x").Add(10)
+	a++
+	b += 5
+	if got := reg.Counter("x").Value(); got != 19 {
+		t.Fatalf("Value = %d, want 10 + 4 + 5", got)
+	}
+	var buf bytes.Buffer
+	if err := reg.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"x": 19`) {
+		t.Fatalf("snapshot does not carry the view total:\n%s", buf.String())
+	}
+}

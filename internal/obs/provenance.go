@@ -119,28 +119,6 @@ func (f *frameState) mark(rx ActorID) (already bool) {
 // linkKey names one (transmitter, receiver) edge of the drop report.
 type linkKey struct{ from, to ActorID }
 
-// ProvMetrics mirrors the ledger's per-reason totals into an obs.Registry
-// as wile.medium_* counters, so CLIs and examples read drop accounting from
-// the registry instead of reaching into simulator structs.
-type ProvMetrics struct {
-	Frames   *Counter
-	Outcomes [NumDropReasons]*Counter
-}
-
-// ProvMetricsFor returns the registry's shared provenance counters,
-// registering them on first use.
-func ProvMetricsFor(reg *Registry) *ProvMetrics {
-	m := &ProvMetrics{Frames: reg.Counter("wile.medium_frames")}
-	for r := 0; r < NumDropReasons; r++ {
-		name := "wile.medium_drop_" + dropReasonNames[r]
-		if DropReason(r) == Delivered {
-			name = "wile.medium_delivered"
-		}
-		m.Outcomes[r] = reg.Counter(name)
-	}
-	return m
-}
-
 // Provenance is the frame-accounting ledger. All methods must be called
 // from a single kernel goroutine; hook sites must be nil-guarded (obsguard
 // enforces this) so disabled runs stay zero-cost.
@@ -148,23 +126,18 @@ type Provenance struct {
 	actors     []string
 	queueDrops []int64
 
-	next     FrameID
+	// frames counts transmissions; the latest one's FrameID is frames.
+	frames   int
 	inflight map[FrameID]*frameState
 
 	potential int64
-	outcomes  [NumDropReasons]int64
-	links     map[linkKey]*[NumDropReasons]int64
+	// outcomes holds the per-reason totals; its DropQueueDrop slot totals
+	// queueDrops. Observe exports frames and these totals.
+	outcomes [NumDropReasons]int
+	links    map[linkKey]*[NumDropReasons]int64
 
 	rec        *Recorder
 	dropTracks []TrackID
-	metrics    *ProvMetrics
-
-	// mirrored* track the portion of the ledger already exported into
-	// metrics, so Observe's back-fill is idempotent: re-wiring the same
-	// registry (or two ledgers sharing one) never re-adds old counts.
-	mirroredFrames   int64
-	mirroredOutcomes [NumDropReasons]int64
-	mirroredQueue    int64
 }
 
 // NewProvenance returns an empty ledger.
@@ -205,41 +178,28 @@ func (p *Provenance) TraceTo(r *Recorder) {
 	}
 }
 
-// Observe mirrors the ledger's totals into the registry's wile.medium_*
-// counters (see ProvMetricsFor). Counts recorded before wiring are
-// back-filled exactly once: calling Observe again (or wiring a second
-// ledger to the same registry) never re-adds already-exported counts.
+// Observe registers views of the ledger's totals in the registry:
+// wile.medium_frames, wile.medium_delivered and one wile.medium_drop_<reason>
+// counter per drop reason. The registry reads the ledger itself at
+// snapshot time, so counts recorded before wiring are included and wiring
+// the same registry again changes nothing.
 func (p *Provenance) Observe(reg *Registry) {
-	m := ProvMetricsFor(reg)
-	if p.metrics == nil || p.metrics.Frames != m.Frames {
-		// First wiring, or a different registry: none of our counts have
-		// been exported into these counters yet.
-		p.mirroredFrames = 0
-		p.mirroredOutcomes = [NumDropReasons]int64{}
-		p.mirroredQueue = 0
+	reg.CounterView("wile.medium_frames", &p.frames)
+	for r := range p.outcomes {
+		name := "wile.medium_drop_" + dropReasonNames[r]
+		if DropReason(r) == Delivered {
+			name = "wile.medium_delivered"
+		}
+		reg.CounterView(name, &p.outcomes[r])
 	}
-	p.metrics = m
-	m.Frames.Add(int64(p.next) - p.mirroredFrames)
-	p.mirroredFrames = int64(p.next)
-	for r, n := range p.outcomes {
-		m.Outcomes[r].Add(n - p.mirroredOutcomes[r])
-		p.mirroredOutcomes[r] = n
-	}
-	queued := p.QueueDrops()
-	m.Outcomes[DropQueueDrop].Add(queued - p.mirroredQueue)
-	p.mirroredQueue = queued
 }
 
 // Transmitted assigns the next FrameID to a transmission from the given
 // actor with the given number of potential receivers (every other attached
 // transceiver). A frame with no potential receivers completes immediately.
 func (p *Provenance) Transmitted(from ActorID, potential int) FrameID {
-	p.next++
-	id := p.next
-	if p.metrics != nil {
-		p.metrics.Frames.Inc()
-		p.mirroredFrames++
-	}
+	p.frames++
+	id := FrameID(p.frames)
 	p.potential += int64(potential)
 	if potential > 0 {
 		p.inflight[id] = &frameState{from: from, pending: int32(potential)}
@@ -277,10 +237,6 @@ func (p *Provenance) Resolve(frame FrameID, rx ActorID, at sim.Time, reason Drop
 		p.links[linkKey{fs.from, rx}] = counts
 	}
 	counts[reason]++
-	if p.metrics != nil {
-		p.metrics.Outcomes[reason].Inc()
-		p.mirroredOutcomes[reason]++
-	}
 	if p.rec != nil && reason != Delivered && int(rx) < len(p.dropTracks) {
 		p.rec.Instant(p.dropTracks[rx], at, dropInstantNames[reason])
 	}
@@ -291,17 +247,14 @@ func (p *Provenance) Resolve(frame FrameID, rx ActorID, at sim.Time, reason Drop
 // sits outside the conservation sum (DESIGN.md §10).
 func (p *Provenance) QueueDrop(from ActorID, at sim.Time) {
 	p.queueDrops[from]++
-	if p.metrics != nil {
-		p.metrics.Outcomes[DropQueueDrop].Inc()
-		p.mirroredQueue++
-	}
+	p.outcomes[DropQueueDrop]++
 	if p.rec != nil && int(from) < len(p.dropTracks) {
 		p.rec.Instant(p.dropTracks[from], at, dropInstantNames[DropQueueDrop])
 	}
 }
 
 // Frames reports how many FrameIDs have been assigned.
-func (p *Provenance) Frames() int64 { return int64(p.next) }
+func (p *Provenance) Frames() int64 { return int64(p.frames) }
 
 // Potential reports the total potential receptions over all frames.
 func (p *Provenance) Potential() int64 { return p.potential }
@@ -311,16 +264,17 @@ func (p *Provenance) Pending() int { return len(p.inflight) }
 
 // Outcomes reports the per-reason reception totals. The DropQueueDrop slot
 // is always zero here; TX-side queue drops are reported by QueueDrops.
-func (p *Provenance) Outcomes() [NumDropReasons]int64 { return p.outcomes }
+func (p *Provenance) Outcomes() (out [NumDropReasons]int64) {
+	for r, n := range p.outcomes {
+		if DropReason(r) != DropQueueDrop {
+			out[r] = int64(n)
+		}
+	}
+	return out
+}
 
 // QueueDrops reports the total TX-side queue drops.
-func (p *Provenance) QueueDrops() int64 {
-	var n int64
-	for _, q := range p.queueDrops {
-		n += q
-	}
-	return n
-}
+func (p *Provenance) QueueDrops() int64 { return int64(p.outcomes[DropQueueDrop]) }
 
 // Verify checks the conservation invariant: every frame fully resolved and
 // Σ outcomes = Σ potential receivers. Call it after the scheduler drained
@@ -330,7 +284,7 @@ func (p *Provenance) Verify() error {
 		return fmt.Errorf("obs: provenance: %d frames still unresolved", n)
 	}
 	var resolved int64
-	for _, n := range p.outcomes {
+	for _, n := range p.Outcomes() {
 		resolved += n
 	}
 	if resolved != p.potential {
@@ -393,13 +347,10 @@ func (p *Provenance) queueDropActors() []ActorID {
 func (p *Provenance) WriteReport(w io.Writer) error {
 	bw := &errWriter{w: w}
 	bw.printf("frames %d, potential receptions %d, unresolved %d\n",
-		p.next, p.potential, len(p.inflight))
+		p.frames, p.potential, len(p.inflight))
 	bw.printf("outcomes:\n")
 	for r := 0; r < NumDropReasons; r++ {
 		n := p.outcomes[r]
-		if DropReason(r) == DropQueueDrop {
-			n = p.QueueDrops()
-		}
 		bw.printf("  %-18s %d\n", dropReasonNames[r], n)
 	}
 	links := p.sortedLinks()
@@ -430,13 +381,10 @@ func (p *Provenance) WriteReport(w io.Writer) error {
 func (p *Provenance) WriteReportJSON(w io.Writer) error {
 	bw := &errWriter{w: w}
 	bw.printf("{\n  \"frames\": %d,\n  \"potential\": %d,\n  \"unresolved\": %d,\n",
-		p.next, p.potential, len(p.inflight))
+		p.frames, p.potential, len(p.inflight))
 	bw.printf("  \"outcomes\": {")
 	for r := 0; r < NumDropReasons; r++ {
 		n := p.outcomes[r]
-		if DropReason(r) == DropQueueDrop {
-			n = p.QueueDrops()
-		}
 		if r > 0 {
 			bw.printf(",")
 		}

@@ -294,9 +294,10 @@ func (s *Station) endJoinPhase() {
 	s.phaseOpen = false
 }
 
-// Observe mirrors the station's MAC counters into the registry.
+// Observe registers views of the station's MAC counters in the registry
+// (see mac.Port.Observe).
 func (s *Station) Observe(reg *obs.Registry) {
-	s.Port.Metrics = mac.MetricsFor(reg)
+	s.Port.Observe(reg)
 }
 
 // countSent/countReceived update JoinFrames while a join is in flight.

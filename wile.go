@@ -122,13 +122,12 @@ type (
 	FragmentHeader = core.FragmentHeader
 	// MACStats counts one port's MAC events (sensor.Port.Stats).
 	MACStats = mac.Stats
-	// MACFleetStats aggregates per-port MAC stats across a fleet (or
-	// across engine workers) under a mutex.
-	MACFleetStats = mac.FleetStats
 )
 
 // Observability. Components expose an Observe(*Registry) method that
-// mirrors their counters into a shared registry; WriteJSON snapshots it.
+// registers views of their Stats counters in a shared registry; the
+// registry reads the counters themselves when WriteJSON snapshots it, so
+// nothing is counted twice and counts made before wiring are included.
 type (
 	// Registry is a shared metrics registry (counters, gauges, histograms).
 	Registry = obs.Registry
