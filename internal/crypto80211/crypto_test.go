@@ -3,6 +3,9 @@ package crypto80211
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
+	"math/rand/v2"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -47,8 +50,105 @@ func TestPSKIEEEVectors(t *testing.T) {
 		{"ThisIsAPassword", "ThisIsASSID", "0dc0d6eb90555ed6419756b9a15ec3e3209b63df707dd508d14581f8982721af"},
 	}
 	for _, c := range cases {
-		if got := PSK(c.pass, c.ssid); !bytes.Equal(got, fromHex(t, c.want)) {
+		want := fromHex(t, c.want)
+		// PBKDF2SHA1 is the uncached derivation, so the vectors pin the
+		// real computation as well as what PSK hands out.
+		if got := PBKDF2SHA1([]byte(c.pass), []byte(c.ssid), 4096, PSKLen); !bytes.Equal(got, want) {
+			t.Errorf("PBKDF2SHA1(%q,%q,4096) = %x, want %s", c.pass, c.ssid, got, c.want)
+		}
+		if got := PSK(c.pass, c.ssid); !bytes.Equal(got, want) {
 			t.Errorf("PSK(%q,%q) = %x, want %s", c.pass, c.ssid, got, c.want)
+		}
+	}
+}
+
+// forgetPMK drops key from the PMK memo so the next PSK call misses.
+func forgetPMK(key pmkKey) {
+	pmks.mu.Lock()
+	delete(pmks.m, key)
+	pmks.mu.Unlock()
+}
+
+func memoised(key pmkKey) bool {
+	pmks.mu.Lock()
+	defer pmks.mu.Unlock()
+	_, ok := pmks.m[key]
+	return ok
+}
+
+func TestPSKMemoMatchesPBKDF2(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 6070))
+	randASCII := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(' ' + rng.IntN('~'-' '+1))
+		}
+		return string(b)
+	}
+	keys := []pmkKey{{"password", "IEEE"}, {"ThisIsAPassword", "ThisIsASSID"}}
+	for i := 0; i < 3; i++ {
+		keys = append(keys, pmkKey{randASCII(8 + rng.IntN(56)), randASCII(1 + rng.IntN(32))})
+	}
+	for _, k := range keys {
+		want := PBKDF2SHA1([]byte(k.passphrase), []byte(k.ssid), 4096, PSKLen)
+		forgetPMK(k)
+		miss := PSK(k.passphrase, k.ssid)
+		if !memoised(k) {
+			t.Fatalf("PSK(%q,%q) did not memoise its result", k.passphrase, k.ssid)
+		}
+		hit := PSK(k.passphrase, k.ssid)
+		if !bytes.Equal(miss, want) || !bytes.Equal(hit, want) {
+			t.Fatalf("PSK(%q,%q): miss %x, hit %x, PBKDF2SHA1 %x", k.passphrase, k.ssid, miss, hit, want)
+		}
+		// A caller that scribbles on its key must not poison the memo.
+		for i := range hit {
+			hit[i] ^= 0xff
+		}
+		miss[0]++
+		if again := PSK(k.passphrase, k.ssid); !bytes.Equal(again, want) {
+			t.Fatalf("PSK(%q,%q) after caller mutation = %x, want %x", k.passphrase, k.ssid, again, want)
+		}
+	}
+	// Passphrase and SSID are kept apart, not concatenated.
+	if bytes.Equal(PSK("ab", "c"), PSK("a", "bc")) {
+		t.Fatal(`PSK("ab","c") == PSK("a","bc"): the memo key confuses the two`)
+	}
+}
+
+func TestPSKMemoConcurrent(t *testing.T) {
+	// Engine pools join from many goroutines; run under -race this pins
+	// the memo's locking. Half the goroutines share one key, half derive
+	// their own.
+	const workers = 16
+	shared := pmkKey{"concurrent shared", "lab-net"}
+	forgetPMK(shared)
+	keys := make([]pmkKey, workers)
+	want := make([][]byte, workers)
+	for i := range keys {
+		keys[i] = shared
+		if i%2 == 1 {
+			keys[i] = pmkKey{fmt.Sprintf("concurrent %d", i), "lab-net"}
+			forgetPMK(keys[i])
+		}
+		want[i] = PBKDF2SHA1([]byte(keys[i].passphrase), []byte(keys[i].ssid), 4096, PSKLen)
+	}
+	got := make([][]byte, workers)
+	var wg sync.WaitGroup
+	for i := range keys {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for n := 0; n < 3; n++ {
+				got[i] = PSK(keys[i].passphrase, keys[i].ssid)
+				got[i][0] ^= 0xff // each caller owns its copy
+				got[i][0] ^= 0xff
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := range keys {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("worker %d: PSK(%q,%q) = %x, want %x", i, keys[i].passphrase, keys[i].ssid, got[i], want[i])
 		}
 	}
 }
@@ -356,11 +456,27 @@ func TestSupplicantRejectsTamperedM3(t *testing.T) {
 	}
 }
 
+// BenchmarkPSKDerivation measures the full 4096-iteration derivation, the
+// cost of a first join to a network.
 func BenchmarkPSKDerivation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		PSK("correct horse battery staple", "lab-net")
+		pmkSink = PBKDF2SHA1([]byte("correct horse battery staple"), []byte("lab-net"), 4096, PSKLen)
 	}
 }
+
+// BenchmarkPSKCached measures PSK on a memo hit, the cost of every later
+// join to the same network.
+func BenchmarkPSKCached(b *testing.B) {
+	PSK("correct horse battery staple", "lab-net")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pmkSink = PSK("correct horse battery staple", "lab-net")
+	}
+}
+
+// pmkSink keeps the compiler from discarding the benchmarked derivations.
+var pmkSink []byte
 
 func BenchmarkFourWayHandshake(b *testing.B) {
 	pmk := PSK("correct horse battery staple", "lab-net")

@@ -1,0 +1,59 @@
+package crypto80211
+
+import (
+	"bytes"
+	"testing"
+)
+
+// FuzzParseEAPOLKey: the EAPOL-Key parser sees over-the-air bytes, so it
+// must never panic, and whatever it accepts must survive Append and parse
+// again unchanged. Seeds are the four messages of a real handshake plus
+// truncated and hostile inputs; `go test` runs the seeds, `go test -fuzz`
+// explores.
+func FuzzParseEAPOLKey(f *testing.F) {
+	pmk := make([]byte, PSKLen)
+	var anonce, snonce [NonceLen]byte
+	anonce[0], snonce[0] = 1, 2
+	var gtk [GTKLen]byte
+	a := NewAuthenticator(pmk, [6]byte{0xaa}, [6]byte{0x02}, anonce, gtk)
+	s := NewSupplicant(pmk, [6]byte{0xaa}, [6]byte{0x02}, snonce)
+	m1 := a.Message1()
+	m2, err := s.Handle(m1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	m3, err := a.Handle(m2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	m4, err := s.Handle(m3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, m := range [][]byte{m1, m2, m3, m4} {
+		f.Add(m)
+		f.Add(m[:len(m)-1])
+	}
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, eapolHeaderLen+keyFixedLen))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		k, err := ParseEAPOLKey(data)
+		if err != nil {
+			return
+		}
+		raw := k.Append(nil)
+		back, err := ParseEAPOLKey(raw)
+		if err != nil {
+			t.Fatalf("re-parse of Append output failed: %v", err)
+		}
+		if back.Info != k.Info || back.KeyLength != k.KeyLength ||
+			back.ReplayCounter != k.ReplayCounter || back.Nonce != k.Nonce ||
+			back.MIC != k.MIC || !bytes.Equal(back.KeyData, k.KeyData) {
+			t.Fatalf("round trip changed the key frame:\n got %+v\nwant %+v", back, k)
+		}
+		if again := back.Append(nil); !bytes.Equal(again, raw) {
+			t.Fatalf("Append not stable across a round trip:\n got %x\nwant %x", again, raw)
+		}
+	})
+}

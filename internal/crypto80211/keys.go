@@ -16,6 +16,7 @@ import (
 	"crypto/hmac"
 	"crypto/sha1"
 	"encoding/binary"
+	"sync"
 )
 
 // PSKLen is the length of a WPA2 pairwise master key.
@@ -53,11 +54,45 @@ func PBKDF2SHA1(password, salt []byte, iter, keyLen int) []byte {
 	return dk[:keyLen]
 }
 
-// PSK derives the 256-bit pairwise master key from an ASCII passphrase and
+// PSK returns the 256-bit pairwise master key for an ASCII passphrase and
 // SSID, per IEEE 802.11-2016 Annex J: 4096 iterations of PBKDF2-HMAC-SHA1.
+//
+// The PMK is a pure function of the network configuration, so it is derived
+// once per (passphrase, SSID) and memoised for the life of the process, as
+// real supplicants (wpa_supplicant, ESP-IDF) do. The derivation is host CPU
+// work, not simulated time, so the memo changes no simulated output. Every
+// call returns a fresh slice the caller may keep or modify. PBKDF2SHA1 stays
+// the uncached derivation.
 func PSK(passphrase, ssid string) []byte {
-	return PBKDF2SHA1([]byte(passphrase), []byte(ssid), 4096, PSKLen)
+	key := pmkKey{passphrase, ssid}
+	pmks.mu.Lock()
+	pmk, ok := pmks.m[key]
+	pmks.mu.Unlock()
+	if !ok {
+		// Derived outside the lock: a concurrent miss on the same key
+		// computes the same bytes, and other keys are not held up.
+		copy(pmk[:], PBKDF2SHA1([]byte(passphrase), []byte(ssid), 4096, PSKLen))
+		pmks.mu.Lock()
+		pmks.m[key] = pmk
+		pmks.mu.Unlock()
+	}
+	out := make([]byte, PSKLen)
+	copy(out, pmk[:])
+	return out
 }
+
+// pmkKey identifies one network configuration. A struct rather than a
+// concatenation, so ("ab", "c") and ("a", "bc") stay distinct.
+type pmkKey struct{ passphrase, ssid string }
+
+// pmkMemo holds the PMKs PSK has derived; engine pools join from many
+// goroutines at once.
+type pmkMemo struct {
+	mu sync.Mutex
+	m  map[pmkKey][PSKLen]byte // guarded by mu
+}
+
+var pmks = pmkMemo{m: make(map[pmkKey][PSKLen]byte)}
 
 // PRF is the IEEE 802.11i pseudo-random function (§12.7.1.2): HMAC-SHA1
 // iterated over label and data with a counter, producing bits/8 bytes.

@@ -442,6 +442,53 @@ func TestMarshalAllocFree(t *testing.T) {
 	}
 }
 
+func TestKindStringNamesAllocFree(t *testing.T) {
+	// The names are part of trace and error output; they must not drift,
+	// and naming a known kind must not allocate (it runs once per frame).
+	want := []struct {
+		k    Kind
+		name string
+	}{
+		{Kind{TypeManagement, SubtypeAssocReq}, "assoc-req"},
+		{Kind{TypeManagement, SubtypeAssocResp}, "assoc-resp"},
+		{Kind{TypeManagement, SubtypeReassocReq}, "reassoc-req"},
+		{Kind{TypeManagement, SubtypeReassocResp}, "reassoc-resp"},
+		{Kind{TypeManagement, SubtypeProbeReq}, "probe-req"},
+		{Kind{TypeManagement, SubtypeProbeResp}, "probe-resp"},
+		{Kind{TypeManagement, SubtypeBeacon}, "beacon"},
+		{Kind{TypeManagement, SubtypeDisassoc}, "disassoc"},
+		{Kind{TypeManagement, SubtypeAuth}, "auth"},
+		{Kind{TypeManagement, SubtypeDeauth}, "deauth"},
+		{Kind{TypeManagement, SubtypeAction}, "action"},
+		{Kind{TypeControl, SubtypePSPoll}, "ps-poll"},
+		{Kind{TypeControl, SubtypeRTS}, "rts"},
+		{Kind{TypeControl, SubtypeCTS}, "cts"},
+		{Kind{TypeControl, SubtypeACK}, "ack"},
+		{Kind{TypeData, SubtypeData}, "data"},
+		{Kind{TypeData, SubtypeNull}, "null"},
+		{Kind{TypeData, SubtypeQoSData}, "qos-data"},
+		{Kind{TypeData, SubtypeQoSNull}, "qos-null"},
+	}
+	for _, c := range want {
+		if got := c.k.String(); got != c.name {
+			t.Errorf("%#v.String() = %q, want %q", c.k, got, c.name)
+		}
+	}
+	if got := (Kind{TypeControl, SubtypeBlockAck}).String(); got != "ctrl/9" {
+		t.Errorf("unnamed kind = %q, want ctrl/9", got)
+	}
+	var sink string
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, c := range want {
+			sink = c.k.String()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Kind.String allocates %v times per pass over the known kinds, want 0", allocs)
+	}
+	_ = sink
+}
+
 func BenchmarkBeaconAppendTo(b *testing.B) {
 	ve, _ := VendorElement([3]byte{0x57, 0x49, 0x4c}, make([]byte, 64))
 	f := NewBeacon(apMAC, 100, CapESS, Elements{SSIDElement(""), ve})

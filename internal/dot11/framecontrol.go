@@ -68,30 +68,33 @@ type Kind struct {
 	Subtype Subtype
 }
 
+// kindNames is the table behind Kind.String. It is built once: the frame
+// path names a kind for every frame it sends or handles.
+var kindNames = map[Kind]string{
+	{TypeManagement, SubtypeAssocReq}:    "assoc-req",
+	{TypeManagement, SubtypeAssocResp}:   "assoc-resp",
+	{TypeManagement, SubtypeReassocReq}:  "reassoc-req",
+	{TypeManagement, SubtypeReassocResp}: "reassoc-resp",
+	{TypeManagement, SubtypeProbeReq}:    "probe-req",
+	{TypeManagement, SubtypeProbeResp}:   "probe-resp",
+	{TypeManagement, SubtypeBeacon}:      "beacon",
+	{TypeManagement, SubtypeDisassoc}:    "disassoc",
+	{TypeManagement, SubtypeAuth}:        "auth",
+	{TypeManagement, SubtypeDeauth}:      "deauth",
+	{TypeManagement, SubtypeAction}:      "action",
+	{TypeControl, SubtypePSPoll}:         "ps-poll",
+	{TypeControl, SubtypeRTS}:            "rts",
+	{TypeControl, SubtypeCTS}:            "cts",
+	{TypeControl, SubtypeACK}:            "ack",
+	{TypeData, SubtypeData}:              "data",
+	{TypeData, SubtypeNull}:              "null",
+	{TypeData, SubtypeQoSData}:           "qos-data",
+	{TypeData, SubtypeQoSNull}:           "qos-null",
+}
+
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	names := map[Kind]string{
-		{TypeManagement, SubtypeAssocReq}:    "assoc-req",
-		{TypeManagement, SubtypeAssocResp}:   "assoc-resp",
-		{TypeManagement, SubtypeReassocReq}:  "reassoc-req",
-		{TypeManagement, SubtypeReassocResp}: "reassoc-resp",
-		{TypeManagement, SubtypeProbeReq}:    "probe-req",
-		{TypeManagement, SubtypeProbeResp}:   "probe-resp",
-		{TypeManagement, SubtypeBeacon}:      "beacon",
-		{TypeManagement, SubtypeDisassoc}:    "disassoc",
-		{TypeManagement, SubtypeAuth}:        "auth",
-		{TypeManagement, SubtypeDeauth}:      "deauth",
-		{TypeManagement, SubtypeAction}:      "action",
-		{TypeControl, SubtypePSPoll}:         "ps-poll",
-		{TypeControl, SubtypeRTS}:            "rts",
-		{TypeControl, SubtypeCTS}:            "cts",
-		{TypeControl, SubtypeACK}:            "ack",
-		{TypeData, SubtypeData}:              "data",
-		{TypeData, SubtypeNull}:              "null",
-		{TypeData, SubtypeQoSData}:           "qos-data",
-		{TypeData, SubtypeQoSNull}:           "qos-null",
-	}
-	if n, ok := names[k]; ok {
+	if n, ok := kindNames[k]; ok {
 		return n
 	}
 	return fmt.Sprintf("%v/%d", k.Type, k.Subtype)

@@ -112,6 +112,10 @@ type Port struct {
 	// periods, as the DCF requires.
 	backoffRemaining int
 	ackTimer         *sim.Event
+	// accessFn, postDIFSFn and countdownFn are the DCF steps bound once in
+	// New: a method value handed to the scheduler allocates a closure each
+	// time it is taken, and countdown reschedules itself every slot.
+	accessFn, postDIFSFn, countdownFn func()
 
 	// rec/track carry the optional trace recorder (TraceTo). accessStart
 	// and awaitStart remember span openings so the closing site can emit
@@ -133,6 +137,7 @@ func New(sched *sim.Scheduler, med *medium.Medium, name string, pos medium.Posit
 		med:     med,
 		rng:     rng,
 	}
+	p.accessFn, p.postDIFSFn, p.countdownFn = p.access, p.postDIFS, p.countdown
 	p.trx = med.Attach(name, pos, txPower, sensitivity)
 	p.trx.Handler = p.receive
 	return p
@@ -309,10 +314,10 @@ func (p *Port) kick() {
 func (p *Port) access() {
 	if until := p.med.BusyUntil(p.trx); until > p.sched.Now() {
 		// Busy: try again when the medium frees (postDIFS re-verifies).
-		p.sched.DoAt(until, p.access)
+		p.sched.DoAt(until, p.accessFn)
 		return
 	}
-	p.sched.DoAfter(p.timing().DIFS(), p.postDIFS)
+	p.sched.DoAfter(p.timing().DIFS(), p.postDIFSFn)
 }
 
 // postDIFS runs after a DIFS of intended idle time; if the medium got busy
@@ -358,7 +363,7 @@ func (p *Port) countdown() {
 		return
 	}
 	p.backoffRemaining--
-	p.sched.DoAfter(p.timing().Slot, p.countdown)
+	p.sched.DoAfter(p.timing().Slot, p.countdownFn)
 }
 
 // transmitHead puts the head-of-queue frame on the air.

@@ -337,6 +337,30 @@ func TestControlRate(t *testing.T) {
 	}
 }
 
+func TestBackoffCountdownAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the scheduler's wheel-level sync.Pool drops random Puts under the race detector; steady-state alloc counts are nondeterministic")
+	}
+	// Every backoff slot on an idle medium reschedules the countdown; with
+	// the DCF steps bound once in New that costs no allocation.
+	fx := newFixture()
+	a := fx.port("a", pos(0, 0), addrA, 1)
+	a.backoffRemaining = 1 << 30
+	a.countdown()
+	fx.sched.Step()
+	allocs := testing.AllocsPerRun(200, func() {
+		if !fx.sched.Step() {
+			t.Fatal("countdown stopped rescheduling")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("one backoff slot allocates %v objects, want 0", allocs)
+	}
+	if a.backoffRemaining >= 1<<30-200 {
+		t.Fatalf("backoff counter at %d: the slots did not run", a.backoffRemaining)
+	}
+}
+
 func BenchmarkUnicastExchange(b *testing.B) {
 	fx := newFixture()
 	a := fx.port("a", pos(0, 0), addrA, 1)

@@ -109,6 +109,33 @@ func TestJoinWrongPassphraseFails(t *testing.T) {
 	}
 }
 
+func TestWrongPassphraseFailsAfterCorrectJoin(t *testing.T) {
+	// The PMK is memoised per (passphrase, SSID) for the whole process: a
+	// successful join must not let a later wrong passphrase through, and
+	// the failed attempt must not spoil the right one.
+	w := newWorld()
+	if err := w.join(t); err != nil {
+		t.Fatalf("first join: %v", err)
+	}
+	w.sta.Sleep()
+	w.sched.RunFor(sim.Second.Duration())
+	w.sta.Cfg.Passphrase = "not the right one"
+	if err := w.join(t); !errors.Is(err, sta.ErrHandshake) {
+		t.Fatalf("wrong-passphrase join after a correct one: err = %v, want handshake failure", err)
+	}
+	if w.sta.Joined() {
+		t.Fatal("station claims joined with the wrong passphrase")
+	}
+	w.sched.RunFor(sim.Second.Duration())
+	w.sta.Cfg.Passphrase = "correct horse battery staple"
+	if err := w.join(t); err != nil {
+		t.Fatalf("correct join after the failed one: %v", err)
+	}
+	if w.ap.Stats.HandshakesDone != 2 {
+		t.Fatalf("AP handshakes = %d, want 2", w.ap.Stats.HandshakesDone)
+	}
+}
+
 func TestJoinNoAPTimesOut(t *testing.T) {
 	w := newWorld()
 	w.ap.Stop()
