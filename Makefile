@@ -53,6 +53,8 @@ examples:
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/dot11/
 	$(GO) test -fuzz=FuzzParseElements -fuzztime=30s ./internal/dot11/
+	$(GO) test -fuzz=FuzzParseTIM -fuzztime=30s ./internal/dot11/
+	$(GO) test -fuzz=FuzzParseRSN -fuzztime=30s ./internal/dot11/
 	$(GO) test -fuzz=FuzzParseFragment -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzReadingsRoundTrip -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzParseEAPOLKey -fuzztime=30s ./internal/crypto80211/

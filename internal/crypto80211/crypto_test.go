@@ -2,6 +2,7 @@ package crypto80211
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math/rand/v2"
@@ -326,6 +327,42 @@ func TestEAPOLKeyParseErrors(t *testing.T) {
 	bad3[micOffset+16] = 0xff
 	if _, err := ParseEAPOLKey(bad3); err == nil {
 		t.Error("oversized key-data length accepted")
+	}
+}
+
+// TestEAPOLKeyBodyLength: the EAPOL body-length field must fit the buffer
+// and match the key-data length; trailing padding past the body is fine.
+func TestEAPOLKeyBodyLength(t *testing.T) {
+	k := &EAPOLKey{Info: KeyInfoTypePairwise, KeyData: []byte{1, 2, 3, 4, 5, 6, 7, 8}}
+	raw := k.Append(nil)
+	withBodyLen := func(b []byte, n int) []byte {
+		binary.BigEndian.PutUint16(b[2:], uint16(n))
+		return b
+	}
+	body := keyFixedLen + len(k.KeyData)
+	cases := []struct {
+		name string
+		pdu  []byte
+		ok   bool
+	}{
+		{"exact", append([]byte(nil), raw...), true},
+		{"padded", append(append([]byte(nil), raw...), 0, 0, 0), true},
+		{"body one short", withBodyLen(append([]byte(nil), raw...), body-1), false},
+		{"body one long", withBodyLen(append([]byte(nil), raw...), body+1), false},
+		{"body one long, padded", withBodyLen(append(append([]byte(nil), raw...), 0), body+1), false},
+		{"body max", withBodyLen(append([]byte(nil), raw...), 0xffff), false},
+		{"body zero", withBodyLen(append([]byte(nil), raw...), 0), false},
+		{"buffer cut inside key data", append([]byte(nil), raw[:len(raw)-1]...), false},
+	}
+	for _, c := range cases {
+		got, err := ParseEAPOLKey(c.pdu)
+		if c.ok != (err == nil) {
+			t.Errorf("%s: err = %v, want ok=%v", c.name, err, c.ok)
+			continue
+		}
+		if c.ok && !bytes.Equal(got.KeyData, k.KeyData) {
+			t.Errorf("%s: key data %x, want %x", c.name, got.KeyData, k.KeyData)
+		}
 	}
 }
 

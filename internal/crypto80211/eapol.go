@@ -72,7 +72,9 @@ func (k *EAPOLKey) Append(dst []byte) []byte {
 // micOffset is where the MIC lives inside the serialized PDU.
 const micOffset = eapolHeaderLen + 1 + 2 + 2 + 8 + NonceLen + 16 + 8
 
-// ParseEAPOLKey decodes an EAPOL-Key PDU.
+// ParseEAPOLKey decodes an EAPOL-Key PDU. The EAPOL body-length field must
+// fit the buffer and equal the fixed key fields plus the key data; bytes
+// after the body (link-layer padding) are ignored.
 func ParseEAPOLKey(b []byte) (*EAPOLKey, error) {
 	if len(b) < eapolHeaderLen+keyFixedLen {
 		return nil, fmt.Errorf("crypto80211: EAPOL-Key too short: %d bytes", len(b))
@@ -89,12 +91,15 @@ func ParseEAPOLKey(b []byte) (*EAPOLKey, error) {
 	k.ReplayCounter = binary.BigEndian.Uint64(b[9:])
 	copy(k.Nonce[:], b[17:17+NonceLen])
 	copy(k.MIC[:], b[micOffset:micOffset+16])
-	n := int(binary.BigEndian.Uint16(b[micOffset+16:]))
-	rest := b[micOffset+18:]
-	if len(rest) < n {
-		return nil, fmt.Errorf("crypto80211: EAPOL key data truncated: want %d, have %d", n, len(rest))
+	bodyLen := int(binary.BigEndian.Uint16(b[2:]))
+	if bodyLen > len(b)-eapolHeaderLen {
+		return nil, fmt.Errorf("crypto80211: EAPOL body length %d exceeds the %d bytes present", bodyLen, len(b)-eapolHeaderLen)
 	}
-	k.KeyData = rest[:n]
+	n := int(binary.BigEndian.Uint16(b[micOffset+16:]))
+	if bodyLen != keyFixedLen+n {
+		return nil, fmt.Errorf("crypto80211: EAPOL body length %d, want %d for %d bytes of key data", bodyLen, keyFixedLen+n, n)
+	}
+	k.KeyData = b[micOffset+18 : micOffset+18+n]
 	return k, nil
 }
 

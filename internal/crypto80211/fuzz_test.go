@@ -2,12 +2,13 @@ package crypto80211
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
 // FuzzParseEAPOLKey: the EAPOL-Key parser sees over-the-air bytes, so it
-// must never panic, and whatever it accepts must survive Append and parse
-// again unchanged. Seeds are the four messages of a real handshake plus
+// must never panic, whatever it accepts must carry the body length Append
+// writes, and it must survive Append and parse again unchanged. Seeds are the four messages of a real handshake plus
 // truncated and hostile inputs; `go test` runs the seeds, `go test -fuzz`
 // explores.
 func FuzzParseEAPOLKey(f *testing.F) {
@@ -43,6 +44,9 @@ func FuzzParseEAPOLKey(f *testing.F) {
 			return
 		}
 		raw := k.Append(nil)
+		if got, want := binary.BigEndian.Uint16(data[2:]), binary.BigEndian.Uint16(raw[2:]); got != want {
+			t.Fatalf("accepted body length %d, Append writes %d", got, want)
+		}
 		back, err := ParseEAPOLKey(raw)
 		if err != nil {
 			t.Fatalf("re-parse of Append output failed: %v", err)

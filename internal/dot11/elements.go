@@ -254,10 +254,14 @@ func TIMElement(t TIM) Element {
 	return Element{ID: ElementTIM, Info: info}
 }
 
-// ParseTIM decodes a TIM element body.
+// ParseTIM decodes a TIM element body. The partial virtual bitmap is 1–251
+// octets; a longer one would carry AIDs past the uint16 range.
 func ParseTIM(info []byte) (TIM, error) {
 	if len(info) < 4 {
 		return TIM{}, fmt.Errorf("%w: TIM needs >=4 bytes, have %d", errTruncated, len(info))
+	}
+	if len(info) > 3+251 {
+		return TIM{}, fmt.Errorf("dot11: TIM bitmap of %d bytes exceeds 251", len(info)-3)
 	}
 	t := TIM{
 		DTIMCount:    info[0],

@@ -118,6 +118,22 @@ func TestTIMHighAIDUsesOffset(t *testing.T) {
 	}
 }
 
+// TestTIMRejectsOverlongBitmap: a bitmap past 251 octets is malformed, and
+// parsing one would wrap AIDs around the uint16 range into duplicates.
+func TestTIMRejectsOverlongBitmap(t *testing.T) {
+	info := make([]byte, 3+8200)
+	info[3] = 0x02      // AID 1
+	info[3+8192] = 0x02 // would wrap to AID 1
+	if tim, err := ParseTIM(info); err == nil {
+		t.Fatalf("over-long TIM accepted: %+v", tim)
+	}
+	full := make([]byte, 3+251)
+	full[3+250] = 0x01 // AID 2000
+	if tim, err := ParseTIM(full); err != nil || !tim.BufferedFor(2000) {
+		t.Fatalf("251-octet TIM: %+v, %v", tim, err)
+	}
+}
+
 func TestTIMGroupTrafficBit(t *testing.T) {
 	e := TIMElement(TIM{GroupTraffic: true, Buffered: []uint16{1}})
 	tim, err := ParseTIM(e.Info)

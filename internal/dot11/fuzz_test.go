@@ -2,6 +2,7 @@ package dot11
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -87,6 +88,70 @@ func FuzzParseElements(f *testing.F) {
 		}
 		if info, ok := els.Find(ElementHTCapabilities); ok {
 			ParseHTCapabilities(info)
+		}
+	})
+}
+
+// FuzzParseTIM: the TIM parser reads every beacon a power-saving station
+// hears. It must never panic, and re-encoding a parse must parse back to
+// the same value once AIDs outside 1–2007 are dropped, since TIMElement
+// skips those by design.
+func FuzzParseTIM(f *testing.F) {
+	for _, tim := range []TIM{
+		{DTIMPeriod: 1},
+		{DTIMCount: 2, DTIMPeriod: 3, GroupTraffic: true, Buffered: []uint16{1}},
+		{DTIMPeriod: 1, Buffered: []uint16{17, 18, 300, 2007}},
+	} {
+		f.Add(TIMElement(tim).Info)
+	}
+	f.Add([]byte{0, 1, 0})
+	f.Add([]byte{0, 1, 0xff, 0xff})
+	f.Add(bytes.Repeat([]byte{0xff}, 3+251))
+	f.Add(bytes.Repeat([]byte{0x01}, 3+8200)) // AIDs would wrap past 65535
+	f.Fuzz(func(t *testing.T, info []byte) {
+		tim, err := ParseTIM(info)
+		if err != nil {
+			return
+		}
+		want := tim
+		want.Buffered = nil
+		for _, aid := range tim.Buffered {
+			if aid >= 1 && aid <= 2007 {
+				want.Buffered = append(want.Buffered, aid)
+			}
+		}
+		back, err := ParseTIM(TIMElement(tim).Info)
+		if err != nil {
+			t.Fatalf("re-encoded TIM does not parse: %v", err)
+		}
+		if !reflect.DeepEqual(back, want) {
+			t.Fatalf("TIM round trip changed the value:\n got %+v\nwant %+v", back, want)
+		}
+	})
+}
+
+// FuzzParseRSN: the RSN parser reads the security element of every beacon,
+// probe response and association request. It must never panic, and
+// re-encoding a parse must parse back to the same value.
+func FuzzParseRSN(f *testing.F) {
+	def := RSNElement(DefaultRSN()).Info
+	f.Add(def)
+	f.Add(def[:len(def)-2]) // no capabilities field
+	f.Add(def[:9])
+	f.Add(RSNElement(RSN{Version: 1, GroupCipher: CipherTKIP,
+		PairwiseCiphers: []uint32{CipherCCMP, CipherTKIP}, Capabilities: 0x000c}).Info)
+	f.Add([]byte{1, 0, 0, 0x0f, 0xac, 4, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, info []byte) {
+		rsn, err := ParseRSN(info)
+		if err != nil {
+			return
+		}
+		back, err := ParseRSN(RSNElement(rsn).Info)
+		if err != nil {
+			t.Fatalf("re-encoded RSN does not parse: %v", err)
+		}
+		if !reflect.DeepEqual(back, rsn) {
+			t.Fatalf("RSN round trip changed the value:\n got %+v\nwant %+v", back, rsn)
 		}
 	})
 }

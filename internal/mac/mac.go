@@ -237,6 +237,14 @@ func (p *Port) resolve(rx medium.Reception, reason obs.DropReason) {
 	}
 }
 
+// resolveDecoded records the outcome of a frame that decoded, unless the
+// port hands those outcomes to its Monitor's owner (ProvDelegate).
+func (p *Port) resolveDecoded(rx medium.Reception, reason obs.DropReason) {
+	if !p.ProvDelegate {
+		p.resolve(rx, reason)
+	}
+}
+
 // queueDrop records a TX-side drop (frame never reached the air).
 func (p *Port) queueDrop() {
 	if pr := p.med.Prov; pr != nil {
@@ -501,9 +509,7 @@ func (p *Port) receive(rx medium.Reception) {
 	// ACK completion for our pending frame. The ACK dies here, so it can
 	// feed the decode pool.
 	if ack, isACK := f.(*dot11.ACK); isACK {
-		if !p.ProvDelegate {
-			p.resolve(rx, obs.Delivered)
-		}
+		p.resolveDecoded(rx, obs.Delivered)
 		if p.current != nil && p.current.wantACK && ack.Receiver == p.Addr {
 			if p.ackTimer != nil {
 				p.sched.Cancel(p.ackTimer)
@@ -530,15 +536,11 @@ func (p *Port) receive(rx medium.Reception) {
 		}
 		if p.isDuplicate(f) {
 			p.Stats.RxDuplicates++
-			if !p.ProvDelegate {
-				p.resolve(rx, obs.DropDedupFiltered)
-			}
+			p.resolveDecoded(rx, obs.DropDedupFiltered)
 			p.release(f)
 			return
 		}
-		if !p.ProvDelegate {
-			p.resolve(rx, obs.Delivered)
-		}
+		p.resolveDecoded(rx, obs.Delivered)
 		if p.Handler != nil {
 			p.Handler(f, rx)
 		} else {
@@ -549,9 +551,7 @@ func (p *Port) receive(rx medium.Reception) {
 		if p.rec != nil {
 			p.rec.Instant(p.track, p.sched.Now(), rxName(f))
 		}
-		if !p.ProvDelegate {
-			p.resolve(rx, obs.Delivered)
-		}
+		p.resolveDecoded(rx, obs.Delivered)
 		if p.Handler != nil {
 			p.Handler(f, rx)
 		} else {
@@ -561,9 +561,7 @@ func (p *Port) receive(rx medium.Reception) {
 		// Overheard traffic for someone else: decoded only to be
 		// discarded, the dominant receive path on a shared channel. The
 		// radio still decoded it, so provenance calls it delivered.
-		if !p.ProvDelegate {
-			p.resolve(rx, obs.Delivered)
-		}
+		p.resolveDecoded(rx, obs.Delivered)
 		p.release(f)
 	}
 }

@@ -31,7 +31,14 @@ type equivScenario struct {
 	txLen  []int
 	txRate []phy.Rate
 	probes []time.Duration
+	// moves holds the positions for each replay of the schedule after the
+	// first; radios move by SetPos while the air is quiet between replays.
+	moves [][]Position
 }
+
+// equivRound spaces the replays of a moving scenario: every frame and probe
+// of a replay finishes well inside it, so no frame is in flight at a move.
+const equivRound = 200 * time.Millisecond
 
 func genScenario(seed uint64) equivScenario {
 	rng := sim.NewRand(seed)
@@ -89,19 +96,30 @@ func playScenario(sc equivScenario, allPairs bool) string {
 			}
 		}
 	}
-	for i, at := range sc.txAt {
-		i := i
-		s.After(at, func() {
-			m.Transmit(radios[sc.txFrom[i]], make([]byte, sc.txLen[i]), sc.txRate[i])
-		})
-	}
-	for _, at := range sc.probes {
-		at := at
-		s.After(at, func() {
-			for i, t := range radios {
-				fmt.Fprintf(&out, "probe t=%v r%d busy=%v until=%v\n", at, i, m.Busy(t), m.BusyUntil(t))
-			}
-		})
+	for round := 0; round <= len(sc.moves); round++ {
+		base := time.Duration(round) * equivRound
+		if round > 0 {
+			pos := sc.moves[round-1]
+			s.After(base-equivRound/10, func() {
+				for i, t := range radios {
+					t.SetPos(pos[i])
+				}
+			})
+		}
+		for i, at := range sc.txAt {
+			i := i
+			s.After(base+at, func() {
+				m.Transmit(radios[sc.txFrom[i]], make([]byte, sc.txLen[i]), sc.txRate[i])
+			})
+		}
+		for _, at := range sc.probes {
+			at := base + at
+			s.After(at, func() {
+				for i, t := range radios {
+					fmt.Fprintf(&out, "probe t=%v r%d busy=%v until=%v\n", at, i, m.Busy(t), m.BusyUntil(t))
+				}
+			})
+		}
 	}
 	s.Run()
 
@@ -126,9 +144,35 @@ func TestCulledMatchesAllPairs(t *testing.T) {
 	}
 }
 
+// TestCulledMatchesAllPairsMoving replays each schedule three times with the
+// ledger attached, moving radios by SetPos between replays across a field
+// wide enough that some pairs fall out of every interference radius. The
+// ledger runs through the grid walk, so the re-bucketed candidates and the
+// culled complement must both track the moves.
+func TestCulledMatchesAllPairsMoving(t *testing.T) {
+	for seed := uint64(200); seed < 250; seed++ {
+		sc := genScenario(seed)
+		rng := sim.NewRand(seed)
+		for r := 0; r < 2; r++ {
+			pos := append([]Position(nil), sc.pos...)
+			for i := range pos {
+				if rng.Float64() < 0.5 {
+					pos[i] = Position{X: rng.Float64() * 1500, Y: rng.Float64() * 1500}
+				}
+			}
+			sc.moves = append(sc.moves, pos)
+		}
+		ref := playScenario(sc, true)
+		got := playScenario(sc, false)
+		if got != ref {
+			t.Fatalf("seed %d: culled medium diverged from all-pairs reference\n--- all-pairs ---\n%s\n--- culled ---\n%s", seed, ref, got)
+		}
+	}
+}
+
 // TestCulledMatchesAllPairsNoProv repeats the differential check without a
-// ledger: this is the path where culling actually uses the spatial grid
-// for candidate discovery rather than the provenance complement walk.
+// ledger, so no batch event resolves the culled radios and only the grid
+// candidates get events.
 func TestCulledMatchesAllPairsNoProv(t *testing.T) {
 	play := func(sc equivScenario, allPairs bool) string {
 		s := sim.New()

@@ -15,9 +15,12 @@
 // through a uniform spatial grid over Position, and carrier sense is an O(1)
 // per-radio high-water mark instead of a history scan. Both are exact, not
 // approximations: the culled receiver set provably contains every radio the
-// all-pairs walk could have delivered to, sensed at, or interfered with, and
-// the reference all-pairs path is kept (see allPairs) so a property test can
-// pin byte-identical behavior on randomized topologies.
+// all-pairs walk could have delivered to, sensed at, or interfered with.
+// That grid walk is the one production path; an attached provenance ledger
+// rides it, resolving the radios outside the candidate list in one batch
+// event. The reference all-pairs path, with its transmission history, is
+// kept only as a test oracle (see allPairs) so a property test can pin
+// byte-identical behavior on randomized topologies.
 package medium
 
 import (
@@ -173,7 +176,9 @@ type Medium struct {
 	// ObserveProvenance so already-attached radios get actor ids.
 	Prov *obs.Provenance
 
-	nodes   []*Transceiver
+	nodes []*Transceiver
+	// history is every transmission, kept (unpruned) only for the all-pairs
+	// reference's scans.
 	history []transmission
 	// Stats counts medium-level events for the experiment harness.
 	Stats Stats
@@ -189,21 +194,18 @@ type Medium struct {
 	// scratch is the reusable candidate buffer for grid queries.
 	scratch []candidate
 
-	// maxAir is the longest airtime among frames currently in history; the
-	// prune window is derived from it, so a 300 ms frame at 1 Mb/s keeps
-	// its interferers alive where a fixed window would drop them.
+	// maxAir is the longest airtime transmitted so far; the prune window is
+	// derived from it, so a 300 ms frame at 1 Mb/s keeps its interferers
+	// alive where a fixed window would drop them.
 	maxAir time.Duration
-	// cutoff is the monotone prune floor: transmissions (and heard entries)
-	// ending at or before it can no longer overlap any pending delivery.
+	// cutoff is the prune floor now − maxAir as of the last transmission
+	// (monotone, since both terms are): heard and ownTx entries ending at or
+	// before it can no longer overlap any pending delivery.
 	cutoff sim.Time
-	// prunedLen is the history length right after the last compaction;
-	// pruning re-runs only after meaningful growth, keeping it amortized
-	// O(1) per transmission.
-	prunedLen int
 
 	// allPairs switches the medium to the reference all-pairs walk the
 	// culled path must match byte for byte: every radio gets a delivery
-	// event and carrier sense scans the history. Tests only.
+	// event and carrier sense and collisions scan the history. Tests only.
 	allPairs bool
 }
 
@@ -293,10 +295,7 @@ func (m *Medium) rssiAt(from, to *Transceiver) phy.DBm {
 // sensitivity — the physical carrier-sense the DCF needs. A radio hears
 // its own transmission.
 func (m *Medium) Busy(t *Transceiver) bool {
-	if m.allPairs {
-		return m.busyScan(t)
-	}
-	return t.busyUntil > m.sched.Now()
+	return m.BusyUntil(t) > m.sched.Now()
 }
 
 // BusyUntil reports the latest end time of any transmission t can hear, or
@@ -309,24 +308,6 @@ func (m *Medium) BusyUntil(t *Transceiver) sim.Time {
 		return until
 	}
 	return 0
-}
-
-// busyScan is the all-pairs reference for Busy: a linear walk of the
-// transmission history.
-func (m *Medium) busyScan(t *Transceiver) bool {
-	now := m.sched.Now()
-	for _, tx := range m.history {
-		if tx.end <= now || tx.start > now {
-			continue
-		}
-		if tx.from == t {
-			return true
-		}
-		if m.rssiAt(tx.from, t) >= t.Sensitivity {
-			return true
-		}
-	}
-	return false
 }
 
 // busyUntilScan is the all-pairs reference for BusyUntil.
@@ -357,15 +338,16 @@ func (m *Medium) Transmit(t *Transceiver, data []byte, rate phy.Rate) time.Durat
 	if m.Prov != nil {
 		// Every other attached radio is a potential receiver and must
 		// resolve to exactly one outcome: in-radius radios through their
-		// delivery events, culled radios through the batch event below.
+		// delivery events, culled radios through one batch event.
 		tx.frame = m.Prov.Transmitted(t.prov, len(m.nodes)-1)
 	}
-	m.history = append(m.history, tx)
+	m.Stats.Transmissions++
+	// Every pending frame started at most maxAir before now, so nothing
+	// ending at or before the floor can overlap one.
 	if airtime > m.maxAir {
 		m.maxAir = airtime
 	}
-	m.Stats.Transmissions++
-	m.pruneHistory(now)
+	m.cutoff = now - sim.Time(m.maxAir)
 
 	// The transmitter senses (and is blinded by) its own frame.
 	if tx.end > t.busyUntil {
@@ -374,37 +356,12 @@ func (m *Medium) Transmit(t *Transceiver, data []byte, rate phy.Rate) time.Durat
 	t.ownTx = appendPruned(t.ownTx, interval{start: now, end: tx.end}, m.cutoff)
 
 	if m.allPairs {
+		m.history = append(m.history, tx)
 		for _, rcv := range m.nodes {
-			if rcv == t {
-				continue
+			if rcv != t {
+				rcv := rcv
+				m.sched.DoAt(tx.end, func() { m.deliverAllPairs(tx, rcv) })
 			}
-			if rssi := m.rssiAt(t, rcv); rssi >= rcv.Sensitivity {
-				m.noteHeard(rcv, t, tx, rssi)
-			}
-			rcv := rcv
-			m.sched.DoAt(tx.end, func() { m.deliverAllPairs(tx, rcv) })
-		}
-		return airtime
-	}
-
-	if m.Prov != nil {
-		// The ledger accounts for every pair, so the walk is O(nodes)
-		// regardless of culling; what culling still buys is one batch event
-		// for the out-of-budget radios instead of one event each.
-		var culled []*Transceiver
-		for _, rcv := range m.nodes {
-			if rcv == t {
-				continue
-			}
-			rssi := m.rssiAt(t, rcv)
-			if rssi < m.minSens {
-				culled = append(culled, rcv)
-				continue
-			}
-			m.scheduleDelivery(t, tx, rcv, rssi)
-		}
-		if len(culled) > 0 {
-			m.sched.DoAt(tx.end, func() { m.resolveCulled(tx, culled) })
 		}
 		return airtime
 	}
@@ -412,9 +369,12 @@ func (m *Medium) Transmit(t *Transceiver, data []byte, rate phy.Rate) time.Durat
 	if !m.grid.built {
 		m.buildGrid()
 	}
-	radius := m.Loss.Range(t.TxPower, m.minSens)
-	for _, c := range m.gridCandidates(t, radius) {
+	cands := m.gridCandidates(t, m.Loss.Range(t.TxPower, m.minSens))
+	for _, c := range cands {
 		m.scheduleDelivery(t, tx, c.t, c.rssi)
+	}
+	if m.Prov != nil {
+		m.scheduleCulled(t, tx, cands)
 	}
 	return airtime
 }
@@ -448,6 +408,25 @@ func appendPruned(ivs []interval, iv interval, cutoff sim.Time) []interval {
 		}
 	}
 	return append(kept, iv)
+}
+
+// scheduleCulled books one event at end of airtime that resolves every
+// radio outside cands, the frame's attach-ordered candidates: a merge walk
+// of the population against that list, with no RSSI computed.
+func (m *Medium) scheduleCulled(t *Transceiver, tx transmission, cands []candidate) {
+	culled := make([]*Transceiver, 0, len(m.nodes)-1-len(cands))
+	for _, rcv := range m.nodes {
+		if len(cands) > 0 && cands[0].t == rcv {
+			cands = cands[1:]
+			continue
+		}
+		if rcv != t {
+			culled = append(culled, rcv)
+		}
+	}
+	if len(culled) > 0 {
+		m.sched.DoAt(tx.end, func() { m.resolveCulled(tx, culled) })
+	}
 }
 
 // resolveCulled settles the provenance outcomes of every receiver outside
@@ -608,34 +587,4 @@ func (m *Medium) finishDelivery(tx transmission, rcv *Transceiver, rssi phy.DBm,
 		End:      tx.end,
 		Frame:    tx.frame,
 	})
-}
-
-// pruneHistory drops transmissions that can no longer overlap any pending
-// delivery. The keep window is the longest airtime currently on the air —
-// every pending frame started at most that long before its delivery fires —
-// instead of a fixed constant that silently assumed no frame outlives it.
-// Compaction is amortized: it re-runs only once the history has clearly
-// outgrown its last compacted size.
-func (m *Medium) pruneHistory(now sim.Time) {
-	if floor := now - sim.Time(m.maxAir); floor > m.cutoff {
-		m.cutoff = floor
-	}
-	if len(m.history) < 2*m.prunedLen+16 {
-		return
-	}
-	i := 0
-	m.maxAir = 0
-	for _, tx := range m.history {
-		if tx.end <= m.cutoff {
-			continue
-		}
-		m.history[i] = tx
-		i++
-		if air := tx.end.Sub(tx.start); air > m.maxAir {
-			m.maxAir = air
-		}
-	}
-	clear(m.history[i:])
-	m.history = m.history[:i]
-	m.prunedLen = i
 }

@@ -262,27 +262,36 @@ func TestDistanceFloor(t *testing.T) {
 	}
 }
 
+// TestHistoryPruned: memory stays bounded on a long run. The production
+// path keeps no global history, so the per-radio collision-scan state must
+// not accumulate dead transmissions either.
 func TestHistoryPruned(t *testing.T) {
 	s, m := newTestMedium()
 	a := m.Attach("a", Position{0, 0}, 0, phy.SensitivityWiFiMCS7)
+	rx := m.Attach("rx", Position{1, 0}, 0, phy.SensitivityWiFiMCS7)
 	a.SetOn(true)
+	rx.SetOn(true)
+	rx.Handler = func(Reception) {}
 	for i := 0; i < 100; i++ {
 		m.Transmit(a, make([]byte, 10), phy.RateOFDM6)
 		s.RunFor(sim.Second.Duration())
 	}
-	// Pruning is amortized (it re-runs after the history doubles past its
-	// last compacted size), so the bound is a small constant, not an exact
-	// count: 100 long-dead transmissions must not accumulate.
-	if len(m.history) > 32 {
-		t.Fatalf("history holds %d entries after pruning", len(m.history))
+	if len(m.history) != 0 {
+		t.Errorf("production path kept %d history entries", len(m.history))
+	}
+	if n := len(a.ownTx); n > 2 {
+		t.Errorf("sender ownTx holds %d entries after 100 spaced transmissions", n)
+	}
+	if n := len(rx.heard); n > 2 {
+		t.Errorf("listener heard holds %d entries after 100 spaced transmissions", n)
 	}
 }
 
 // TestLongFrameOutlivesOldPruneWindow: a frame slower and longer than the
 // old fixed 200 ms keep window must still collide with an interferer that
 // ended early in its airtime. The prune window is derived from the longest
-// airtime on the air, so background traffic far away (which triggers
-// pruning) cannot evict the interferer before the long frame resolves.
+// airtime seen, so background traffic far away (which advances the prune
+// floor) cannot evict the interferer before the long frame resolves.
 func TestLongFrameOutlivesOldPruneWindow(t *testing.T) {
 	s, m := newTestMedium()
 	long := m.Attach("long", Position{1, 0}, 0, phy.SensitivityWiFiMCS7)
@@ -304,8 +313,8 @@ func TestLongFrameOutlivesOldPruneWindow(t *testing.T) {
 	s.After(sim.Millisecond.Duration(), func() {
 		m.Transmit(short, make([]byte, 10), phy.RateOFDM6)
 	})
-	// Out-of-range chatter to drive history growth and pruning while the
-	// long frame is still in the air.
+	// Out-of-range chatter to advance the prune floor while the long frame
+	// is still in the air.
 	for i := 2; i < 60; i++ {
 		at := time.Duration(i) * 4 * sim.Millisecond.Duration()
 		s.After(at, func() { m.Transmit(far, make([]byte, 10), phy.RateOFDM6) })

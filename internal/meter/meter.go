@@ -85,14 +85,30 @@ func New(sched *sim.Scheduler, probe Probe, rate int) *Meter {
 // samplePool recycles materialized trace buffers across runs; experiment
 // benchmarks and engine sweeps return finished traces through
 // RecycleSamples so back-to-back figure runs reuse one 100k-sample buffer.
-var samplePool sync.Pool
+// It is a bounded free list, not a sync.Pool: a sync.Pool drops its items
+// on the second GC after a Put and hides an item Put on one P from a Get
+// on another, so whether a figure run reallocated its 1.6 MB buffer
+// depended on GC and scheduler timing, and so did the heap's size.
+var samplePool struct {
+	sync.Mutex
+	free [][]Sample
+}
+
+// maxFreeSamples bounds the buffers samplePool keeps: both Figure-3 traces
+// of one run, twice over for a concurrent sweep.
+const maxFreeSamples = 4
 
 // acquireSamples returns an empty sample buffer with at least the given
 // capacity, reusing a pooled buffer when one is large enough.
 func acquireSamples(capacity int) []Sample {
-	if v := samplePool.Get(); v != nil {
-		s := v.([]Sample)
+	samplePool.Lock()
+	defer samplePool.Unlock()
+	for i, s := range samplePool.free {
 		if cap(s) >= capacity {
+			last := len(samplePool.free) - 1
+			samplePool.free[i] = samplePool.free[last]
+			samplePool.free[last] = nil
+			samplePool.free = samplePool.free[:last]
 			return s[:0]
 		}
 	}
@@ -103,8 +119,13 @@ func acquireSamples(capacity int) []Sample {
 // later Reserve. The caller must not use the slice afterwards. Small
 // buffers are dropped: pooling only pays for figure-scale traces.
 func RecycleSamples(s []Sample) {
-	if cap(s) >= 4096 {
-		samplePool.Put(s[:0]) //nolint — slice header boxing is once per run
+	if cap(s) < 4096 {
+		return
+	}
+	samplePool.Lock()
+	defer samplePool.Unlock()
+	if len(samplePool.free) < maxFreeSamples {
+		samplePool.free = append(samplePool.free, s[:0])
 	}
 }
 

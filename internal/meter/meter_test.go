@@ -2,6 +2,7 @@ package meter
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -182,4 +183,38 @@ func TestReservePreallocatesTraceCapacity(t *testing.T) {
 	// non-positive window must not panic.
 	m.Reserve(0)
 	m.Reserve(-time.Second)
+}
+
+// TestRecycledSamplesSurviveGC pins the sample pool's reuse: a recycled
+// figure buffer is handed back by the next Reserve however many GCs run in
+// between, and the pool keeps at most maxFreeSamples buffers.
+func TestRecycledSamplesSurviveGC(t *testing.T) {
+	samplePool.Lock()
+	saved := samplePool.free
+	samplePool.free = nil
+	samplePool.Unlock()
+	t.Cleanup(func() {
+		samplePool.Lock()
+		samplePool.free = saved
+		samplePool.Unlock()
+	})
+
+	m := New(sim.New(), &rampProbe{}, DefaultSampleRate)
+	m.Reserve(time.Second)
+	buf := m.Samples
+	RecycleSamples(buf)
+	runtime.GC()
+	runtime.GC()
+	reused := New(sim.New(), &rampProbe{}, DefaultSampleRate)
+	reused.Reserve(time.Second)
+	if cap(reused.Samples) != cap(buf) || &reused.Samples[:1][0] != &buf[:1][0] {
+		t.Fatal("Reserve after two GCs allocated instead of reusing the recycled buffer")
+	}
+
+	for range maxFreeSamples + 2 {
+		RecycleSamples(make([]Sample, 0, 4096))
+	}
+	if n := len(samplePool.free); n != maxFreeSamples {
+		t.Fatalf("pool holds %d buffers, want %d", n, maxFreeSamples)
+	}
 }

@@ -349,6 +349,10 @@ func (s *Station) handleDeauth(d *dot11.Deauth) {
 		s.finishDHCP(err)
 		return
 	}
+	if s.arpDone != nil {
+		s.failARP(err)
+		return
+	}
 	if wasJoined && s.OnDisconnect != nil {
 		s.OnDisconnect(d.Reason)
 	}
@@ -757,12 +761,21 @@ func (s *Station) startARP(finish func(error)) {
 	s.arpTimer = s.sched.After(2*s.Cfg.Timing.ResponseTimeout, func() {
 		s.arpTimer = nil
 		if s.arpDone != nil {
-			d := s.arpDone
-			s.arpDone = nil
-			d(ErrARPFailed)
+			s.failARP(ErrARPFailed)
 		}
 	})
 	s.sendMSDU(dot11.Broadcast, netstack.WrapSNAP(netstack.EtherTypeARP, req.Append(nil)), nil)
+}
+
+// failARP ends the pending ARP step of a join with err.
+func (s *Station) failARP(err error) {
+	if s.arpTimer != nil {
+		s.sched.Cancel(s.arpTimer)
+		s.arpTimer = nil
+	}
+	d := s.arpDone
+	s.arpDone = nil
+	d(err)
 }
 
 func (s *Station) handleARP(payload []byte) {

@@ -739,6 +739,39 @@ func TestStationHandlesDeauth(t *testing.T) {
 	}
 }
 
+// TestDeauthDuringARPFailsJoin: a deauth that lands after the DHCP ACK,
+// while the join waits on the gateway's ARP reply, must end the join at
+// once with the deauth error rather than time out as an ARP failure.
+func TestDeauthDuringARPFailsJoin(t *testing.T) {
+	w := newWorld()
+	var result *error
+	w.sta.Dev.SetState(esp32.StateCPUActive)
+	w.sta.Join(func(err error) { result = &err })
+	// The lease is recorded in the same event that starts the ARP step.
+	for w.sta.IP == netstack.IPZero && w.sched.Step() {
+	}
+	if w.sta.IP == netstack.IPZero || result != nil {
+		t.Fatalf("join never reached the ARP step (result %v)", result)
+	}
+	deauthAt := w.sched.Now()
+	d := &dot11.Deauth{Reason: dot11.ReasonInactivity}
+	d.Header.Addr1 = staAddr
+	d.Header.Addr2 = w.ap.Cfg.BSSID
+	d.Header.Addr3 = w.ap.Cfg.BSSID
+	w.ap.Port.Send(d, nil)
+	w.sched.RunFor(100 * time.Millisecond)
+
+	if result == nil {
+		t.Fatalf("join still pending %v after a deauth in the ARP step", w.sched.Now().Sub(deauthAt))
+	}
+	if !errors.Is(*result, sta.ErrHandshake) || errors.Is(*result, sta.ErrARPFailed) {
+		t.Fatalf("join error = %v, want the deauth error", *result)
+	}
+	if w.sta.Joined() {
+		t.Fatal("station claims joined after deauth")
+	}
+}
+
 func TestForeignDeauthIgnored(t *testing.T) {
 	w := newWorld()
 	if err := w.join(t); err != nil {
