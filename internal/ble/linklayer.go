@@ -72,7 +72,9 @@ func (p *AdvPDU) Marshal() ([]byte, error) {
 	return append(out, p.Data...), nil
 }
 
-// ParseAdvPDU decodes an advertising PDU.
+// ParseAdvPDU decodes an advertising PDU. The payload must hold AdvA plus at
+// most MaxAdvData bytes, the legacy advertising limit Marshal enforces, so
+// every accepted PDU re-encodes.
 func ParseAdvPDU(b []byte) (*AdvPDU, error) {
 	if len(b) < 2 {
 		return nil, errors.New("ble: PDU shorter than header")
@@ -87,6 +89,9 @@ func ParseAdvPDU(b []byte) (*AdvPDU, error) {
 	}
 	if n < 6 {
 		return nil, fmt.Errorf("ble: advertising payload %d bytes, below AdvA size", n)
+	}
+	if n > 6+MaxAdvData {
+		return nil, fmt.Errorf("ble: advertising payload %d bytes exceeds %d", n, 6+MaxAdvData)
 	}
 	copy(p.AdvA[:], b[2:8])
 	p.Data = b[8 : 2+n]

@@ -229,8 +229,12 @@ func (s *Sensor) TransmitOnce(readings []Reading, done func(ok bool)) {
 		inject()
 		return
 	}
-	s.Dev.PlaySegments(esp32.BootWiLE(), inject)
+	s.Dev.PlaySegments(wileBoot, inject)
 }
+
+// wileBoot is the Wi-LE wake profile, built once and replayed on every
+// wake; PlaySegments only reads it.
+var wileBoot = esp32.BootWiLE()
 
 // sleep powers everything down.
 func (s *Sensor) sleep() {

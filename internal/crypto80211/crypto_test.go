@@ -295,7 +295,7 @@ func TestEAPOLKeyRoundTrip(t *testing.T) {
 		Nonce:         nonce,
 		KeyData:       []byte{1, 2, 3, 4, 5, 6, 7, 8},
 	}
-	raw := k.Append(nil)
+	raw := mustAppend(t, k)
 	got, err := ParseEAPOLKey(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +308,7 @@ func TestEAPOLKeyRoundTrip(t *testing.T) {
 
 func TestEAPOLKeyParseErrors(t *testing.T) {
 	k := &EAPOLKey{Info: KeyInfoTypePairwise}
-	raw := k.Append(nil)
+	raw := mustAppend(t, k)
 	if _, err := ParseEAPOLKey(raw[:10]); err == nil {
 		t.Error("short PDU accepted")
 	}
@@ -330,11 +330,64 @@ func TestEAPOLKeyParseErrors(t *testing.T) {
 	}
 }
 
+// mustAppend serializes k, failing the test on error.
+func mustAppend(t *testing.T, k *EAPOLKey) []byte {
+	t.Helper()
+	raw, err := k.Append(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestEAPOLKeyAppendKeyDataLimit: the uint16 body length covers the
+// 87 bytes of fixed key fields too (this codec carries no 8-byte Key ID,
+// which would make the limit 65440 in a 95-byte layout), so 65448 bytes is
+// the most key data a PDU can carry. Append rejects one byte more rather
+// than wrapping the length into a PDU the parser refuses.
+func TestEAPOLKeyAppendKeyDataLimit(t *testing.T) {
+	for _, c := range []struct {
+		n  int
+		ok bool
+	}{
+		{65440, true},
+		{65441, true},
+		{65448, true},
+		{65449, false},
+		{70000, false},
+	} {
+		k := &EAPOLKey{Info: KeyInfoTypePairwise, KeyData: bytes.Repeat([]byte{0xa5}, c.n)}
+		prefix := []byte{0xee}
+		raw, err := k.Append(prefix)
+		if !c.ok {
+			if err == nil {
+				t.Errorf("%d bytes of key data: Append accepted, want error", c.n)
+			}
+			if !bytes.Equal(raw, prefix) {
+				t.Errorf("%d bytes of key data: rejected Append changed dst to %d bytes", c.n, len(raw))
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%d bytes of key data: %v", c.n, err)
+			continue
+		}
+		got, err := ParseEAPOLKey(raw[len(prefix):])
+		if err != nil {
+			t.Errorf("%d bytes of key data: parse of Append output: %v", c.n, err)
+			continue
+		}
+		if !bytes.Equal(got.KeyData, k.KeyData) {
+			t.Errorf("%d bytes of key data: round trip returned %d bytes", c.n, len(got.KeyData))
+		}
+	}
+}
+
 // TestEAPOLKeyBodyLength: the EAPOL body-length field must fit the buffer
 // and match the key-data length; trailing padding past the body is fine.
 func TestEAPOLKeyBodyLength(t *testing.T) {
 	k := &EAPOLKey{Info: KeyInfoTypePairwise, KeyData: []byte{1, 2, 3, 4, 5, 6, 7, 8}}
-	raw := k.Append(nil)
+	raw := mustAppend(t, k)
 	withBodyLen := func(b []byte, n int) []byte {
 		binary.BigEndian.PutUint16(b[2:], uint16(n))
 		return b
@@ -370,7 +423,10 @@ func TestMICSignAndVerify(t *testing.T) {
 	var kck [16]byte
 	copy(kck[:], "0123456789abcdef")
 	k := &EAPOLKey{Info: KeyInfoTypePairwise | KeyInfoMIC, ReplayCounter: 1}
-	raw := k.Sign(kck)
+	raw, err := k.Sign(kck)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !VerifyMIC(raw, kck) {
 		t.Fatal("fresh MIC does not verify")
 	}

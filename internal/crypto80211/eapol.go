@@ -50,10 +50,17 @@ const (
 	descriptorRSN  = 2
 	eapolHeaderLen = 4
 	keyFixedLen    = 1 + 2 + 2 + 8 + NonceLen + 16 + 8 + 16 + 2 // descriptor..keydatalen
+	// maxKeyData is the most key data a PDU can carry: the uint16 EAPOL
+	// body length covers the fixed key fields as well.
+	maxKeyData = 0xffff - keyFixedLen
 )
 
-// Append serializes k as a full EAPOL PDU.
-func (k *EAPOLKey) Append(dst []byte) []byte {
+// Append serializes k as a full EAPOL PDU. Key data longer than the body
+// length field can describe (65448 bytes) is rejected, leaving dst as it was.
+func (k *EAPOLKey) Append(dst []byte) ([]byte, error) {
+	if len(k.KeyData) > maxKeyData {
+		return dst, fmt.Errorf("crypto80211: %d bytes of EAPOL key data exceed the %d-byte limit", len(k.KeyData), maxKeyData)
+	}
 	bodyLen := keyFixedLen + len(k.KeyData)
 	dst = append(dst, eapolVersion, eapolTypeKey)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(bodyLen))
@@ -66,7 +73,7 @@ func (k *EAPOLKey) Append(dst []byte) []byte {
 	dst = append(dst, make([]byte, 8)...)  // key RSC
 	dst = append(dst, k.MIC[:]...)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(k.KeyData)))
-	return append(dst, k.KeyData...)
+	return append(dst, k.KeyData...), nil
 }
 
 // micOffset is where the MIC lives inside the serialized PDU.
@@ -104,14 +111,18 @@ func ParseEAPOLKey(b []byte) (*EAPOLKey, error) {
 }
 
 // Sign computes and stores the HMAC-SHA1-128 MIC over the serialized PDU.
-func (k *EAPOLKey) Sign(kck [16]byte) []byte {
+// It fails only when Append does.
+func (k *EAPOLKey) Sign(kck [16]byte) ([]byte, error) {
 	k.MIC = [16]byte{}
-	raw := k.Append(nil)
+	raw, err := k.Append(nil)
+	if err != nil {
+		return nil, err
+	}
 	mac := hmac.New(sha1.New, kck[:])
 	mac.Write(raw)
 	copy(k.MIC[:], mac.Sum(nil))
 	copy(raw[micOffset:], k.MIC[:])
-	return raw
+	return raw, nil
 }
 
 // VerifyMIC checks the MIC of a serialized PDU against kck.

@@ -43,7 +43,10 @@ func FuzzParseEAPOLKey(f *testing.F) {
 		if err != nil {
 			return
 		}
-		raw := k.Append(nil)
+		raw, err := k.Append(nil)
+		if err != nil {
+			t.Fatalf("Append of an accepted key frame failed: %v", err)
+		}
 		if got, want := binary.BigEndian.Uint16(data[2:]), binary.BigEndian.Uint16(raw[2:]); got != want {
 			t.Fatalf("accepted body length %d, Append writes %d", got, want)
 		}
@@ -56,7 +59,7 @@ func FuzzParseEAPOLKey(f *testing.F) {
 			back.MIC != k.MIC || !bytes.Equal(back.KeyData, k.KeyData) {
 			t.Fatalf("round trip changed the key frame:\n got %+v\nwant %+v", back, k)
 		}
-		if again := back.Append(nil); !bytes.Equal(again, raw) {
+		if again, err := back.Append(nil); err != nil || !bytes.Equal(again, raw) {
 			t.Fatalf("Append not stable across a round trip:\n got %x\nwant %x", again, raw)
 		}
 	})

@@ -44,7 +44,12 @@ func (a *Authenticator) Message1() []byte {
 		ReplayCounter: a.replay,
 		Nonce:         a.anonce,
 	}
-	return m1.Append(nil)
+	raw, err := m1.Append(nil)
+	if err != nil {
+		// M1 carries no key data, so it always fits.
+		panic(fmt.Sprintf("crypto80211: building M1: %v", err))
+	}
+	return raw
 }
 
 // Handle consumes a supplicant PDU (M2 or M4) and returns the response to
@@ -80,7 +85,7 @@ func (a *Authenticator) Handle(raw []byte) ([]byte, error) {
 			KeyData:       wrapped,
 		}
 		a.state = 2
-		return m3.Sign(a.ptk.KCK), nil
+		return m3.Sign(a.ptk.KCK)
 	case 2: // expecting M4
 		if k.ReplayCounter != a.replay {
 			return nil, fmt.Errorf("%w: M4 replay counter", ErrHandshake)
@@ -135,7 +140,7 @@ func (s *Supplicant) Handle(raw []byte) ([]byte, error) {
 			Nonce:         s.snonce,
 		}
 		s.state = 1
-		return m2.Sign(s.ptk.KCK), nil
+		return m2.Sign(s.ptk.KCK)
 	case 1: // expecting M3
 		if k.Info&KeyInfoInstall == 0 {
 			return nil, fmt.Errorf("%w: not an M3", ErrHandshake)
@@ -154,7 +159,7 @@ func (s *Supplicant) Handle(raw []byte) ([]byte, error) {
 			ReplayCounter: k.ReplayCounter,
 		}
 		s.state = 2
-		return m4.Sign(s.ptk.KCK), nil
+		return m4.Sign(s.ptk.KCK)
 	}
 	return nil, fmt.Errorf("%w: unexpected message in state %d", ErrHandshake, s.state)
 }

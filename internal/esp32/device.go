@@ -132,11 +132,22 @@ type Device struct {
 	// become nested slices, phase marks instants, TX bursts spans.
 	rec   *obs.Recorder
 	track obs.TrackID
+
+	// segs, seg and segDone are the running PlaySegments playback: the
+	// profile, the cursor to its next segment and the completion callback.
+	segs    []Segment
+	seg     int
+	segDone func()
+	playing bool
+	// stepFn and txEndFn are the playback step and TX-burst end, bound once
+	// in New so scheduling them builds no closure.
+	stepFn, txEndFn func()
 }
 
 // New builds a device in deep sleep at the scheduler's current time.
 func New(sched *sim.Scheduler) *Device {
 	d := &Device{sched: sched, state: StateDeepSleep, lastT: sched.Now()}
+	d.stepFn, d.txEndFn = d.step, d.txEnd
 	d.lastA = StateCurrent(StateDeepSleep)
 	d.steps = append(d.steps, Step{At: sched.Now(), Current: d.lastA})
 	return d
@@ -211,11 +222,14 @@ func (d *Device) RadioTx(airtime time.Duration) {
 		d.rec.Span(d.track, d.sched.Now(), until, "tx-burst")
 	}
 	d.setCurrent(TxBurstCurrent)
-	d.sched.DoAt(until, func() {
-		if d.sched.Now() >= d.txUntil {
-			d.setCurrent(d.effectiveCurrent())
-		}
-	})
+	d.sched.DoAt(until, d.txEndFn)
+}
+
+// txEnd restores the state current once the last overlapping burst ends.
+func (d *Device) txEnd() {
+	if d.sched.Now() >= d.txUntil {
+		d.setCurrent(d.effectiveCurrent())
+	}
 }
 
 // MarkPhase records a labeled instant for figure annotation.
@@ -255,25 +269,37 @@ type Segment struct {
 
 // PlaySegments runs a scripted current profile (boot sequences, RF
 // calibration, …), then restores the device's state current and calls
-// done. Labels become phase marks.
+// done. Labels become phase marks. A device plays one profile at a time:
+// starting a playback while one is running panics, though done may start
+// the next. segs is read as the playback advances and must not change
+// until done runs; a profile built once can be replayed on every wake.
 func (d *Device) PlaySegments(segs []Segment, done func()) {
-	var run func(i int)
-	run = func(i int) {
-		if i == len(segs) {
-			d.setCurrent(d.effectiveCurrent())
-			if done != nil {
-				done()
-			}
-			return
-		}
-		s := segs[i]
-		if s.Label != "" {
-			d.MarkPhase(s.Label)
-		}
-		d.setCurrent(s.Current)
-		d.sched.DoAfter(s.D, func() { run(i + 1) })
+	if d.playing {
+		panic("esp32: PlaySegments while a playback is running")
 	}
-	run(0)
+	d.playing = true
+	d.segs, d.seg, d.segDone = segs, 0, done
+	d.step()
+}
+
+// step enters the playback's next segment, or finishes the playback.
+func (d *Device) step() {
+	if d.seg == len(d.segs) {
+		done := d.segDone
+		d.segs, d.segDone, d.playing = nil, nil, false
+		d.setCurrent(d.effectiveCurrent())
+		if done != nil {
+			done()
+		}
+		return
+	}
+	s := d.segs[d.seg]
+	d.seg++
+	if s.Label != "" {
+		d.MarkPhase(s.Label)
+	}
+	d.setCurrent(s.Current)
+	d.sched.DoAfter(s.D, d.stepFn)
 }
 
 // Boot profiles, calibrated against Figure 3. Durations are the paper's

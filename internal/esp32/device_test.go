@@ -2,6 +2,7 @@ package esp32
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -144,6 +145,58 @@ func TestPlaySegments(t *testing.T) {
 	}
 	if len(d.Marks()) == 0 || d.Marks()[0].Label != "MC/WiFi init" {
 		t.Fatalf("marks = %+v", d.Marks())
+	}
+}
+
+// TestPlaySegmentsZeroAlloc pins a replayed boot profile at zero
+// allocations once warm: the playback advances a cursor through a step
+// bound once in New, so no segment builds a closure. The waveform and mark
+// logs are pre-grown, since their amortized growth is the recording's cost,
+// not the playback's.
+func TestPlaySegmentsZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the scheduler's wheel-level sync.Pool drops random Puts under the race detector")
+	}
+	s := sim.New()
+	d := New(s)
+	boot := BootWiLE()
+	done := func() {}
+	play := func() {
+		d.PlaySegments(boot, done)
+		s.Run()
+	}
+	play()
+	const runs = 100
+	d.steps = slices.Grow(d.steps, (runs+1)*(len(boot)+1))
+	d.marks = slices.Grow(d.marks, (runs+1)*len(boot))
+	if allocs := testing.AllocsPerRun(runs, play); allocs != 0 {
+		t.Fatalf("playing the Wi-LE boot profile costs %.1f allocs, want 0", allocs)
+	}
+}
+
+// TestPlaySegmentsOnePlaybackPerDevice: a second playback may start from
+// the first one's done callback, but not while the first is running.
+func TestPlaySegmentsOnePlaybackPerDevice(t *testing.T) {
+	s := sim.New()
+	d := New(s)
+	chained := false
+	d.PlaySegments(BootWiLE(), func() {
+		d.PlaySegments(BootWiLE(), func() { chained = true })
+	})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("overlapping PlaySegments did not panic")
+			}
+		}()
+		d.PlaySegments(BootWiFi(), nil)
+	}()
+	s.Run()
+	if !chained {
+		t.Fatal("playback started from done never finished")
+	}
+	if want := sim.FromDuration(2 * BootDuration(BootWiLE())); s.Now() != want {
+		t.Fatalf("chained boots took %v, want %v", s.Now(), want)
 	}
 }
 

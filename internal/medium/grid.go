@@ -12,9 +12,10 @@ import (
 // distance at which its signal drops below the most sensitive attached
 // floor — bounds every radio it could deliver to, collide with, or make
 // busy, so a transmission only visits the grid cells its radius overlaps.
-// Candidates are exact-filtered by received power against minSens and
-// sorted by attach order, making the resulting event schedule independent
-// of bucketing: byte-identical to the all-pairs walk.
+// Candidates are culled by squared distance against the radius, then
+// exact-filtered by received power against minSens and sorted by attach
+// order, making the resulting event schedule independent of bucketing:
+// byte-identical to the all-pairs walk.
 
 // cellKey addresses one grid bucket.
 type cellKey struct{ x, y int32 }
@@ -85,6 +86,13 @@ func (m *Medium) buildGrid() {
 // slice is the medium's scratch buffer, valid until the next query.
 func (m *Medium) gridCandidates(t *Transceiver, radius float64) []candidate {
 	m.scratch = m.scratch[:0]
+	// Received power falls monotonically with distance, so every radio that
+	// clears minSens lies within radius. Reject the rest by squared distance
+	// before paying for the RSSI's logarithm; the relative slack dwarfs the
+	// rounding in Range and RSSI, so the exact filter below still decides
+	// every radio near the edge.
+	reach := radius * (1 + 1e-9)
+	reach2 := reach * reach
 	x0 := int32(math.Floor((t.Pos.X - radius) / m.grid.size))
 	x1 := int32(math.Floor((t.Pos.X + radius) / m.grid.size))
 	y0 := int32(math.Floor((t.Pos.Y - radius) / m.grid.size))
@@ -93,6 +101,10 @@ func (m *Medium) gridCandidates(t *Transceiver, radius float64) []candidate {
 		for x := x0; x <= x1; x++ {
 			for _, rcv := range m.grid.cells[cellKey{x: x, y: y}] {
 				if rcv == t {
+					continue
+				}
+				dx, dy := rcv.Pos.X-t.Pos.X, rcv.Pos.Y-t.Pos.Y
+				if dx*dx+dy*dy > reach2 {
 					continue
 				}
 				rssi := m.rssiAt(t, rcv)

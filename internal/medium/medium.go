@@ -20,7 +20,9 @@
 // rides it, resolving the radios outside the candidate list in one batch
 // event. The reference all-pairs path, with its transmission history, is
 // kept only as a test oracle (see allPairs) so a property test can pin
-// byte-identical behavior on randomized topologies.
+// byte-identical behavior on randomized topologies. In steady state a
+// frame allocates nothing: its transmission record, its per-receiver
+// delivery records and their scheduler events are all recycled.
 package medium
 
 import (
@@ -149,13 +151,29 @@ func (t *Transceiver) SetPos(p Position) {
 // Meaningful only while the medium's Prov hook is non-nil.
 func (t *Transceiver) ProvID() obs.ActorID { return t.prov }
 
-// transmission is one in-flight (or recently finished) frame.
+// transmission is one in-flight frame, shared by every event it schedules
+// and taken from the medium's free list. The last of its events to fire
+// returns it there (the all-pairs oracle never does).
 type transmission struct {
 	from       *Transceiver
 	data       []byte
 	rate       phy.Rate
 	start, end sim.Time
 	frame      obs.FrameID
+	// pending counts the frame's delivery and culled-batch events still to
+	// fire.
+	pending int
+	// culled lists the radios the ledger's batch event resolves; its
+	// backing array survives recycling.
+	culled []*Transceiver
+}
+
+// delivery is one per-receiver delivery event's state, taken from the
+// medium's free list and returned to it as the event fires.
+type delivery struct {
+	tx   *transmission
+	rcv  *Transceiver
+	rssi phy.DBm
 }
 
 // Medium is one radio channel shared by a set of transceivers.
@@ -179,7 +197,7 @@ type Medium struct {
 	nodes []*Transceiver
 	// history is every transmission, kept (unpruned) only for the all-pairs
 	// reference's scans.
-	history []transmission
+	history []*transmission
 	// Stats counts medium-level events for the experiment harness.
 	Stats Stats
 
@@ -193,6 +211,13 @@ type Medium struct {
 	grid     grid
 	// scratch is the reusable candidate buffer for grid queries.
 	scratch []candidate
+	// freeTx and freeDel recycle transmissions and delivery records, so a
+	// frame's deliveries allocate nothing in steady state.
+	freeTx  []*transmission
+	freeDel []*delivery
+	// deliverFn and resolveCulledFn are the event callbacks, bound once in
+	// New so scheduling a delivery builds no closure.
+	deliverFn, resolveCulledFn func(any)
 
 	// maxAir is the longest airtime transmitted so far; the prune window is
 	// derived from it, so a 300 ms frame at 1 Mb/s keeps its interferers
@@ -229,13 +254,15 @@ type Stats struct {
 // New builds a medium on the given channel with an indoor path-loss model
 // (exponent 3.0, typical for the home/office environments in the paper).
 func New(sched *sim.Scheduler, ch phy.Channel) *Medium {
-	return &Medium{
+	m := &Medium{
 		sched:   sched,
 		Channel: ch,
 		Loss:    phy.PathLoss{Exponent: 3.0, FreqMHz: ch.FreqMHz},
 		Corrupt: true,
 		minSens: phy.DBm(math.Inf(1)),
 	}
+	m.deliverFn, m.resolveCulledFn = m.deliverEvent, m.resolveCulledEvent
+	return m
 }
 
 // Attach adds a radio at pos. The radio starts powered off.
@@ -334,7 +361,8 @@ func (m *Medium) Transmit(t *Transceiver, data []byte, rate phy.Rate) time.Durat
 	}
 	airtime := phy.FrameAirtime(rate, len(data))
 	now := m.sched.Now()
-	tx := transmission{from: t, data: data, rate: rate, start: now, end: now.Add(airtime)}
+	tx := takeFree(&m.freeTx)
+	tx.from, tx.data, tx.rate, tx.start, tx.end = t, data, rate, now, now.Add(airtime)
 	if m.Prov != nil {
 		// Every other attached radio is a potential receiver and must
 		// resolve to exactly one outcome: in-radius radios through their
@@ -370,32 +398,77 @@ func (m *Medium) Transmit(t *Transceiver, data []byte, rate phy.Rate) time.Durat
 		m.buildGrid()
 	}
 	cands := m.gridCandidates(t, m.Loss.Range(t.TxPower, m.minSens))
+	tx.pending = len(cands)
 	for _, c := range cands {
-		m.scheduleDelivery(t, tx, c.t, c.rssi)
+		m.scheduleDelivery(tx, c.t, c.rssi)
 	}
 	if m.Prov != nil {
-		m.scheduleCulled(t, tx, cands)
+		m.scheduleCulled(tx, cands)
+	}
+	if tx.pending == 0 {
+		m.release(tx)
 	}
 	return airtime
 }
 
+// takeFree pops a cleared record from a free list, or allocates one.
+func takeFree[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	x := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return x
+}
+
+// release returns tx to the free list once its last event has fired,
+// dropping its references so a recycled frame pins no payload or radio.
+func (m *Medium) release(tx *transmission) {
+	clear(tx.culled)
+	*tx = transmission{culled: tx.culled[:0]}
+	m.freeTx = append(m.freeTx, tx)
+}
+
+// eventDone marks one of tx's events fired, recycling tx after the last.
+func (m *Medium) eventDone(tx *transmission) {
+	tx.pending--
+	if tx.pending == 0 {
+		m.release(tx)
+	}
+}
+
 // scheduleDelivery books one in-radius receiver: carrier-sense and
 // collision-scan state now, the delivery event at end of airtime.
-func (m *Medium) scheduleDelivery(t *Transceiver, tx transmission, rcv *Transceiver, rssi phy.DBm) {
+func (m *Medium) scheduleDelivery(tx *transmission, rcv *Transceiver, rssi phy.DBm) {
 	if rssi >= rcv.Sensitivity {
-		m.noteHeard(rcv, t, tx, rssi)
+		m.noteHeard(rcv, tx, rssi)
 	}
-	m.sched.DoAt(tx.end, func() { m.deliver(tx, rcv, rssi) })
+	d := takeFree(&m.freeDel)
+	*d = delivery{tx: tx, rcv: rcv, rssi: rssi}
+	m.sched.DoAtArg(tx.end, m.deliverFn, d)
+}
+
+// deliverEvent is the delivery event callback: it recycles the record
+// before delivering, then releases the frame's hold.
+func (m *Medium) deliverEvent(arg any) {
+	d := arg.(*delivery)
+	tx, rcv, rssi := d.tx, d.rcv, d.rssi
+	*d = delivery{}
+	m.freeDel = append(m.freeDel, d)
+	m.deliver(tx, rcv, rssi)
+	m.eventDone(tx)
 }
 
 // noteHeard records a hearable transmission at rcv: it extends the
 // carrier-sense high-water mark and joins the receiver's collision-scan
 // window.
-func (m *Medium) noteHeard(rcv *Transceiver, from *Transceiver, tx transmission, rssi phy.DBm) {
+func (m *Medium) noteHeard(rcv *Transceiver, tx *transmission, rssi phy.DBm) {
 	if tx.end > rcv.busyUntil {
 		rcv.busyUntil = tx.end
 	}
-	rcv.heard = append(rcv.heard, heardTx{from: from, start: tx.start, end: tx.end, rssi: rssi})
+	rcv.heard = append(rcv.heard, heardTx{from: tx.from, start: tx.start, end: tx.end, rssi: rssi})
 }
 
 // appendPruned appends iv, dropping entries that ended at or before the
@@ -413,31 +486,38 @@ func appendPruned(ivs []interval, iv interval, cutoff sim.Time) []interval {
 // scheduleCulled books one event at end of airtime that resolves every
 // radio outside cands, the frame's attach-ordered candidates: a merge walk
 // of the population against that list, with no RSSI computed.
-func (m *Medium) scheduleCulled(t *Transceiver, tx transmission, cands []candidate) {
-	culled := make([]*Transceiver, 0, len(m.nodes)-1-len(cands))
+func (m *Medium) scheduleCulled(tx *transmission, cands []candidate) {
 	for _, rcv := range m.nodes {
 		if len(cands) > 0 && cands[0].t == rcv {
 			cands = cands[1:]
 			continue
 		}
-		if rcv != t {
-			culled = append(culled, rcv)
+		if rcv != tx.from {
+			tx.culled = append(tx.culled, rcv)
 		}
 	}
-	if len(culled) > 0 {
-		m.sched.DoAt(tx.end, func() { m.resolveCulled(tx, culled) })
+	if len(tx.culled) > 0 {
+		tx.pending++
+		m.sched.DoAtArg(tx.end, m.resolveCulledFn, tx)
 	}
+}
+
+// resolveCulledEvent is the culled-batch event callback.
+func (m *Medium) resolveCulledEvent(arg any) {
+	tx := arg.(*transmission)
+	m.resolveCulled(tx)
+	m.eventDone(tx)
 }
 
 // resolveCulled settles the provenance outcomes of every receiver outside
 // the frame's interference budget, at end of airtime like any delivery.
 // The all-pairs precedence is preserved: a powered-off (or handler-less)
 // radio resolves radio_off even though the signal also missed it.
-func (m *Medium) resolveCulled(tx transmission, culled []*Transceiver) {
+func (m *Medium) resolveCulled(tx *transmission) {
 	if m.Prov == nil {
 		return
 	}
-	for _, rcv := range culled {
+	for _, rcv := range tx.culled {
 		if !rcv.on || rcv.Handler == nil {
 			m.Prov.Resolve(tx.frame, rcv.prov, tx.end, obs.DropRadioOff)
 			continue
@@ -450,7 +530,7 @@ func (m *Medium) resolveCulled(tx transmission, culled []*Transceiver) {
 // the provenance outcomes it can decide alone (radio_off,
 // below_sensitivity, collided); receptions it hands to a Handler resolve
 // at the decode layers. rssi was computed when the frame was launched.
-func (m *Medium) deliver(tx transmission, rcv *Transceiver, rssi phy.DBm) {
+func (m *Medium) deliver(tx *transmission, rcv *Transceiver, rssi phy.DBm) {
 	collided := m.scanHeard(tx, rcv, rssi)
 	if !rcv.on || rcv.Handler == nil {
 		if m.Prov != nil {
@@ -470,7 +550,7 @@ func (m *Medium) deliver(tx transmission, rcv *Transceiver, rssi phy.DBm) {
 // scanHeard runs the collision scan over rcv's heard window (compacting it
 // against the prune floor in the same pass) and the receiver's own
 // transmissions.
-func (m *Medium) scanHeard(tx transmission, rcv *Transceiver, rssi phy.DBm) bool {
+func (m *Medium) scanHeard(tx *transmission, rcv *Transceiver, rssi phy.DBm) bool {
 	collided := false
 	kept := rcv.heard[:0]
 	for _, h := range rcv.heard {
@@ -518,7 +598,7 @@ func clearHeard(tail []heardTx) {
 // deliverAllPairs is the reference delivery path: RSSI evaluated at
 // delivery time and collisions found by scanning the shared history. The
 // culled path must match it byte for byte on static topologies.
-func (m *Medium) deliverAllPairs(tx transmission, rcv *Transceiver) {
+func (m *Medium) deliverAllPairs(tx *transmission, rcv *Transceiver) {
 	if !rcv.on || rcv.Handler == nil {
 		if m.Prov != nil {
 			m.Prov.Resolve(tx.frame, rcv.prov, tx.end, obs.DropRadioOff)
@@ -561,7 +641,7 @@ func (m *Medium) deliverAllPairs(tx transmission, rcv *Transceiver) {
 // and the payload, then hands the reception to the receiver. Collided
 // receptions count only as collisions: Stats (and so the registry) and the
 // provenance taxonomy agree that delivered and collided are disjoint.
-func (m *Medium) finishDelivery(tx transmission, rcv *Transceiver, rssi phy.DBm, collided bool) {
+func (m *Medium) finishDelivery(tx *transmission, rcv *Transceiver, rssi phy.DBm, collided bool) {
 	data := tx.data
 	if collided {
 		m.Stats.Collisions++

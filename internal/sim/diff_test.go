@@ -205,6 +205,56 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 	}
 }
 
+// TestMixedEntriesMatchReferenceHeap replays the randomized workload with
+// every scheduling entry in rotation — cancellable After, closure DoAt and
+// closure-free DoAtArg — and requires the reference heap's firing order.
+// Pooled events hand out no handle, so their cancel thunk is a no-op on
+// both sides.
+func TestMixedEntriesMatchReferenceHeap(t *testing.T) {
+	type box struct{ fn func() }
+	fire := func(arg any) { arg.(*box).fn() }
+	for trial := int64(0); trial < 25; trial++ {
+		tape := makeTape(trial*104729+3, 512)
+
+		s := New()
+		k := 0
+		got := runDiffWorkload(tape, 3000, func(d time.Duration, fn func()) func() {
+			k++
+			switch k % 3 {
+			case 0:
+				e := s.After(d, fn)
+				return func() { s.Cancel(e) }
+			case 1:
+				s.DoAt(s.Now().Add(d), fn)
+			default:
+				s.DoAtArg(s.Now().Add(d), fire, &box{fn})
+			}
+			return func() {}
+		}, s.Step)
+
+		r := &refSched{}
+		k = 0
+		want := runDiffWorkload(tape, 3000, func(d time.Duration, fn func()) func() {
+			k++
+			e := r.at(r.now.Add(d), fn)
+			if k%3 == 0 {
+				return func() { e.cancel = true }
+			}
+			return func() {}
+		}, r.step)
+
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: wheel fired %d events, reference fired %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: firing order diverged at index %d: wheel=%d reference=%d (context got=%v want=%v)",
+					trial, i, got[i], want[i], tail(got, i), tail(want, i))
+			}
+		}
+	}
+}
+
 func tail(xs []int, i int) []int {
 	lo := i - 3
 	if lo < 0 {

@@ -17,6 +17,14 @@
 // periodic trains (the 50 kSa/s meter) bypass per-event bookkeeping
 // entirely through Ticker, which the dispatcher interleaves with ordinary
 // events under the same (time, seq) total order.
+//
+// Scheduling entries, from general to hot: At/After return a cancellable
+// handle; DoAt/DoAfter are fire-and-forget on recycled event nodes; DoAtArg
+// is DoAt without the closure — use it on per-frame or per-segment paths
+// where building a closure per event would be the allocation, passing a
+// function bound once (a method value stored at construction) and the
+// event's state as arg. All of them share one dispatch path: a node holds
+// fn(arg), and DoAt/At reach it through a static func() trampoline.
 package sim
 
 import (
@@ -81,16 +89,19 @@ const (
 
 // Event is a scheduled callback.
 type Event struct {
-	at     Time
-	seq    uint64 // tie-breaker: preserves scheduling order at equal times
-	fn     func()
+	at  Time
+	seq uint64 // tie-breaker: preserves scheduling order at equal times
+	// fn(arg) is the callback. Every event, however scheduled, fires through
+	// this one call; a plain func() rides as arg of the callFunc trampoline.
+	fn     func(any)
+	arg    any
 	link   *Event // intrusive next pointer while parked in a wheel bucket
 	idx    int    // overflow-heap index, or one of the idx* sentinels
 	cancel bool
-	// pooled marks events scheduled through DoAt/DoAfter: the scheduler
-	// recycles them after they fire, so no *Event for them ever escapes
-	// to callers (a retained pointer could Cancel a stranger's event
-	// after recycling).
+	// pooled marks events scheduled through DoAt/DoAtArg/DoAfter: the
+	// scheduler recycles them after they fire, so no *Event for them ever
+	// escapes to callers (a retained pointer could Cancel a stranger's
+	// event after recycling).
 	pooled bool
 }
 
@@ -235,7 +246,7 @@ type Scheduler struct {
 	// tickers are the active periodic trains, dispatched under the same
 	// (time, seq) order as events.
 	tickers []*Ticker
-	// free is the recycled-event freelist backing DoAt/DoAfter. A plain
+	// free is the recycled-event freelist backing DoAt/DoAtArg. A plain
 	// slice, not a sync.Pool: each kernel is single-goroutine by design
 	// (the experiment engine parallelizes across kernels, never within
 	// one), so no synchronization is needed and nodes stay warm in cache.
@@ -464,12 +475,17 @@ func (s *Scheduler) At(at Time, fn func()) *Event {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
 	}
-	e := &Event{at: at, seq: s.seq, fn: fn}
+	e := &Event{at: at, seq: s.seq, fn: callFunc, arg: fn}
 	s.seq++
 	s.pending++
 	s.place(e)
 	return e
 }
+
+// callFunc is the static trampoline that runs a plain func() callback
+// through the kernel's single fn(arg) dispatch. A func value is
+// pointer-shaped, so boxing it in arg allocates nothing.
+func callFunc(arg any) { arg.(func())() }
 
 // After schedules fn to run d after the current virtual time.
 func (s *Scheduler) After(d time.Duration, fn func()) *Event {
@@ -485,7 +501,15 @@ func (s *Scheduler) After(d time.Duration, fn func()) *Event {
 // to it after firing, so steady-state scheduling allocates nothing.
 // Because the node is recycled the caller gets no handle — anything that
 // might need Cancel must use At/After instead.
-func (s *Scheduler) DoAt(at Time, fn func()) {
+func (s *Scheduler) DoAt(at Time, fn func()) { s.DoAtArg(at, callFunc, fn) }
+
+// DoAtArg schedules fn(arg) at the absolute virtual time at on a recycled
+// event node; see DoAt. It lets a hot path schedule without building a
+// closure: fn is bound once (a method value or package function) and the
+// per-event state travels in arg, typically a pointer to a recycled
+// record. The node drops arg when it fires, so a recycled node never pins
+// the caller's record.
+func (s *Scheduler) DoAtArg(at Time, fn func(any), arg any) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
 	}
@@ -494,9 +518,9 @@ func (s *Scheduler) DoAt(at Time, fn func()) {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		e.at, e.fn, e.cancel = at, fn, false
+		e.at, e.fn, e.arg, e.cancel = at, fn, arg, false
 	} else {
-		e = &Event{at: at, fn: fn}
+		e = &Event{at: at, fn: fn, arg: arg}
 	}
 	e.pooled = true
 	e.seq = s.seq
@@ -544,14 +568,14 @@ func (s *Scheduler) dispatch(e *Event) {
 	if s.OnDispatch != nil {
 		s.OnDispatch(e.at)
 	}
-	fn := e.fn
+	fn, arg := e.fn, e.arg
 	if e.pooled {
 		// Recycle before running fn so a callback that schedules another
 		// pooled event (the self-rearming tick pattern) reuses this node.
-		e.fn = nil
+		e.fn, e.arg = nil, nil
 		s.free = append(s.free, e)
 	}
-	fn()
+	fn(arg)
 }
 
 // Step fires the next pending event or ticker fire, advancing the clock to
