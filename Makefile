@@ -61,6 +61,10 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseAdvPDU -fuzztime=30s ./internal/ble/
 	$(GO) test -fuzz=FuzzParseOnAir -fuzztime=30s ./internal/ble/
 	$(GO) test -fuzz=FuzzParseAD -fuzztime=30s ./internal/ble/
+	$(GO) test -fuzz=FuzzParseARP -fuzztime=30s ./internal/netstack/
+	$(GO) test -fuzz=FuzzParseIPv4 -fuzztime=30s ./internal/netstack/
+	$(GO) test -fuzz=FuzzParseUDP -fuzztime=30s ./internal/netstack/
+	$(GO) test -fuzz=FuzzParseDHCP -fuzztime=30s ./internal/netstack/
 
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...

@@ -83,21 +83,12 @@ type Device struct {
 	lastT  sim.Time
 	lastA  units.Amps
 	charge units.Coulombs
-	steps  []Step
 	events int
-}
-
-// Step is one point of the current waveform.
-type Step struct {
-	At      sim.Time
-	Current units.Amps
 }
 
 // NewDevice builds a sleeping CC2541.
 func NewDevice(sched *sim.Scheduler) *Device {
-	d := &Device{sched: sched, lastT: sched.Now(), lastA: CC2541SleepCurrent}
-	d.steps = append(d.steps, Step{At: sched.Now(), Current: d.lastA})
-	return d
+	return &Device{sched: sched, lastT: sched.Now(), lastA: CC2541SleepCurrent}
 }
 
 func (d *Device) touch() {
@@ -110,11 +101,7 @@ func (d *Device) touch() {
 
 func (d *Device) setCurrent(a units.Amps) {
 	d.touch()
-	if a == d.lastA {
-		return
-	}
 	d.lastA = a
-	d.steps = append(d.steps, Step{At: d.sched.Now(), Current: a})
 }
 
 // Current reports the instantaneous draw (meter.Probe).
@@ -128,12 +115,6 @@ func (d *Device) Charge() units.Coulombs {
 
 // Energy reports the exact energy drawn since construction.
 func (d *Device) Energy() units.Joules { return d.Charge().Energy(CC2541Voltage) }
-
-// Steps returns the recorded waveform.
-func (d *Device) Steps() []Step {
-	d.touch()
-	return d.steps
-}
 
 // Events reports how many connection events have started.
 func (d *Device) Events() int { return d.events }

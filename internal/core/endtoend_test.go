@@ -109,21 +109,8 @@ func TestWiLEEnergyPerPacketMatchesTable1(t *testing.T) {
 	sensor.TransmitOnce([]Reading{Temperature(17.0)}, nil)
 	r.sched.Run()
 
-	// Extract the TX burst energy from the waveform: the charge drawn at
-	// TX current.
-	var txCharge units.Coulombs
-	steps := sensor.Dev.Steps()
-	for i, s := range steps {
-		if s.Current != esp32.TxBurstCurrent {
-			continue
-		}
-		end := r.sched.Now()
-		if i+1 < len(steps) {
-			end = steps[i+1].At
-		}
-		txCharge += units.Charge(esp32.TxBurstCurrent, end.Sub(s.At))
-	}
-	energy := txCharge.Energy(esp32.Voltage)
+	// The TX burst energy: the charge drawn at TX current.
+	energy := sensor.Dev.TxCharge().Energy(esp32.Voltage)
 	t.Logf("Wi-LE TX-window energy: %.1f µJ (paper: 84 µJ)", energy.Micro())
 	if energy < units.Scale(units.MicroJoules(84), 0.85) || energy > units.Scale(units.MicroJoules(84), 1.15) {
 		t.Errorf("TX energy %.1f µJ outside ±15%% of 84 µJ", energy.Micro())

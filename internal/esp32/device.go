@@ -101,13 +101,6 @@ const TxBurstCurrent = units.Amps(180e-3)
 // per-transmission radio-on window behind Table 1's 84 µJ Wi-LE figure.
 const TxRampUp = 95 * time.Microsecond
 
-// Step is one point of the piecewise-constant current waveform: the
-// current that flows from At onward.
-type Step struct {
-	At      sim.Time
-	Current units.Amps
-}
-
 // Mark is a labeled instant, used to annotate figure phases
 // ("MC/WiFi init", "Probe/Auth./Associate", …).
 type Mark struct {
@@ -124,9 +117,15 @@ type Device struct {
 	lastA   units.Amps
 	txUntil sim.Time
 
-	charge units.Coulombs
-	steps  []Step
-	marks  []Mark
+	// stepAt is when the current last changed. charge is the exact
+	// integral of the waveform, txCharge the part drawn at TxBurstCurrent
+	// in steps that have ended, and asleepAt when the current last fell to
+	// the deep-sleep floor.
+	stepAt   sim.Time
+	charge   units.Coulombs
+	txCharge units.Coulombs
+	asleepAt sim.Time
+	marks    []Mark
 
 	// rec/track carry the optional trace recorder (TraceTo): power states
 	// become nested slices, phase marks instants, TX bursts spans.
@@ -146,10 +145,9 @@ type Device struct {
 
 // New builds a device in deep sleep at the scheduler's current time.
 func New(sched *sim.Scheduler) *Device {
-	d := &Device{sched: sched, state: StateDeepSleep, lastT: sched.Now()}
+	now := sched.Now()
+	d := &Device{sched: sched, state: StateDeepSleep, lastT: now, lastA: sleepFloor, stepAt: now, asleepAt: now}
 	d.stepFn, d.txEndFn = d.step, d.txEnd
-	d.lastA = StateCurrent(StateDeepSleep)
-	d.steps = append(d.steps, Step{At: sched.Now(), Current: d.lastA})
 	return d
 }
 
@@ -162,14 +160,26 @@ func (d *Device) touch() {
 	}
 }
 
-// setCurrent changes the instantaneous current, logging a waveform step.
+// sleepFloor is the deep-sleep current: the device is awake while it draws
+// more.
+var sleepFloor = StateCurrent(StateDeepSleep)
+
+// setCurrent changes the instantaneous current. A change closes the
+// running step: a closed TX step adds its charge to txCharge as one term,
+// so the sum runs in step order, and a fall to the floor moves asleepAt.
 func (d *Device) setCurrent(a units.Amps) {
 	d.touch()
 	if a == d.lastA {
 		return
 	}
-	d.lastA = a
-	d.steps = append(d.steps, Step{At: d.sched.Now(), Current: a})
+	now := d.sched.Now()
+	if d.lastA == TxBurstCurrent {
+		d.txCharge += units.Charge(TxBurstCurrent, now.Sub(d.stepAt))
+	}
+	if d.lastA > sleepFloor && a <= sleepFloor {
+		d.asleepAt = now
+	}
+	d.lastA, d.stepAt = a, now
 }
 
 // effectiveCurrent reports the current the state machine implies now.
@@ -243,11 +253,22 @@ func (d *Device) MarkPhase(label string) {
 // Marks returns the recorded phase annotations.
 func (d *Device) Marks() []Mark { return d.marks }
 
-// Steps returns the waveform recorded so far (current from each step's
-// time until the next step).
-func (d *Device) Steps() []Step {
-	d.touch()
-	return d.steps
+// TxCharge reports the charge drawn at TxBurstCurrent since construction:
+// the radio-on transmit window Table 1 counts (§5.4).
+func (d *Device) TxCharge() units.Coulombs {
+	if d.lastA == TxBurstCurrent {
+		return d.txCharge + units.Charge(TxBurstCurrent, d.sched.Now().Sub(d.stepAt))
+	}
+	return d.txCharge
+}
+
+// AwakeUntil reports when the current last fell to the deep-sleep floor,
+// or now while it is above the floor: the end of the latest wake.
+func (d *Device) AwakeUntil() sim.Time {
+	if d.lastA > sleepFloor {
+		return d.sched.Now()
+	}
+	return d.asleepAt
 }
 
 // Charge reports the total charge drawn since construction, integrated

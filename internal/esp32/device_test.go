@@ -107,26 +107,6 @@ func TestStateChangeDuringBurstDefersToBurst(t *testing.T) {
 	}
 }
 
-func TestStepsRecordWaveform(t *testing.T) {
-	s := sim.New()
-	d := New(s)
-	s.After(time.Second, func() { d.SetState(StateCPUActive) })
-	s.After(2*time.Second, func() { d.SetState(StateDeepSleep) })
-	s.RunUntil(3 * sim.Second)
-	steps := d.Steps()
-	if len(steps) != 3 {
-		t.Fatalf("%d steps, want 3", len(steps))
-	}
-	for i := 1; i < len(steps); i++ {
-		if steps[i].At <= steps[i-1].At {
-			t.Fatal("steps not strictly ordered")
-		}
-		if steps[i].Current == steps[i-1].Current {
-			t.Fatal("redundant step recorded")
-		}
-	}
-}
-
 func TestPlaySegments(t *testing.T) {
 	s := sim.New()
 	d := New(s)
@@ -148,11 +128,12 @@ func TestPlaySegments(t *testing.T) {
 	}
 }
 
-// TestPlaySegmentsZeroAlloc pins a replayed boot profile at zero
-// allocations once warm: the playback advances a cursor through a step
-// bound once in New, so no segment builds a closure. The waveform and mark
-// logs are pre-grown, since their amortized growth is the recording's cost,
-// not the playback's.
+// TestPlaySegmentsZeroAlloc pins a replayed boot profile, waveform
+// bookkeeping included, at zero allocations once warm: the playback
+// advances a cursor through a step bound once in New, so no segment builds
+// a closure, and the waveform is kept as a few running sums. The mark log
+// is pre-grown, since its amortized growth is the recording's cost, not the
+// playback's.
 func TestPlaySegmentsZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the scheduler's wheel-level sync.Pool drops random Puts under the race detector")
@@ -167,7 +148,6 @@ func TestPlaySegmentsZeroAlloc(t *testing.T) {
 	}
 	play()
 	const runs = 100
-	d.steps = slices.Grow(d.steps, (runs+1)*(len(boot)+1))
 	d.marks = slices.Grow(d.marks, (runs+1)*len(boot))
 	if allocs := testing.AllocsPerRun(runs, play); allocs != 0 {
 		t.Fatalf("playing the Wi-LE boot profile costs %.1f allocs, want 0", allocs)
@@ -239,4 +219,139 @@ func TestUnknownStatePanics(t *testing.T) {
 		}
 	}()
 	StateCurrent(State(99))
+}
+
+// refStep is one point of the reference waveform log: the current that
+// flows from at onward.
+type refStep struct {
+	at      sim.Time
+	current units.Amps
+}
+
+// refTxCharge is Table 1's TX-window scan of a step log: the charge of
+// every step at TX current, summed in step order.
+func refTxCharge(log []refStep, now sim.Time) units.Coulombs {
+	var c units.Coulombs
+	for i, s := range log {
+		end := now
+		if i+1 < len(log) {
+			end = log[i+1].at
+		}
+		if s.current == TxBurstCurrent {
+			c += units.Charge(s.current, end.Sub(s.at))
+		}
+	}
+	return c
+}
+
+// refWakeEnd is the duty-cycle readers' scan: the end of the last step
+// above the deep-sleep floor, ignoring steps before start.
+func refWakeEnd(log []refStep, start, now sim.Time) sim.Time {
+	var wakeEnd sim.Time
+	for i, s := range log {
+		if s.at < start {
+			continue
+		}
+		end := now
+		if i+1 < len(log) {
+			end = log[i+1].at
+		}
+		if s.current > StateCurrent(StateDeepSleep) {
+			wakeEnd = end
+		}
+	}
+	return wakeEnd
+}
+
+// randomProfile builds a short boot-like profile whose segments may be
+// empty, sit at TX current or drop to the deep-sleep floor.
+func randomProfile(rng *sim.Rand) []Segment {
+	levels := []units.Amps{TxBurstCurrent, StateCurrent(StateDeepSleep),
+		units.MilliAmps(40), units.MilliAmps(62), StateCurrent(StateRadioListen)}
+	segs := make([]Segment, 1+rng.Intn(5))
+	for i := range segs {
+		segs[i] = Segment{D: time.Duration(rng.Intn(3000)) * time.Microsecond, Current: levels[rng.Intn(len(levels))]}
+	}
+	return segs
+}
+
+// TestWaveformAccessorsMatchStepLog drives random state changes, TX
+// bursts (often overlapping a state change or a playback) and profile
+// playbacks, rebuilds the step log by watching Current after every event
+// (each event here changes the current at most once), and checks TxCharge and AwakeUntil against the log scans bit for bit
+// after every event: mid-wake, asleep, and with a start cut-off taken
+// while the device sleeps.
+func TestWaveformAccessorsMatchStepLog(t *testing.T) {
+	floor := StateCurrent(StateDeepSleep)
+	var midWake, cutChecks int
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := sim.NewRand(seed)
+		s := sim.New()
+		d := New(s)
+		actions := 0
+		var act func()
+		act = func() {
+			switch rng.Intn(5) {
+			case 0:
+				d.SetState(State(rng.Intn(int(StateRadioListen) + 1)))
+			case 1:
+				d.SetState(StateDeepSleep)
+			case 2:
+				if !d.playing {
+					d.PlaySegments(randomProfile(rng), nil)
+				}
+			default:
+				d.RadioTx(time.Duration(rng.Intn(400)) * time.Microsecond)
+			}
+			if actions++; actions < 300 {
+				delay := time.Duration(rng.Intn(2000)) * time.Microsecond
+				if rng.Intn(4) == 0 {
+					delay = 0
+				}
+				s.DoAfter(delay, act)
+			}
+		}
+		s.DoAfter(time.Millisecond, act)
+
+		log := []refStep{{at: s.Now(), current: d.Current()}}
+		start, woke := sim.Time(-1), false
+		for s.Step() {
+			now := s.Now()
+			if a := d.Current(); a != log[len(log)-1].current {
+				log = append(log, refStep{at: now, current: a})
+				woke = woke || start >= 0 && a > floor
+			}
+			if got, want := d.TxCharge(), refTxCharge(log, now); math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+				t.Fatalf("seed %d at %v: TxCharge = %v, log scan %v", seed, now, got, want)
+			}
+			got := d.AwakeUntil()
+			if want := refWakeEnd(log, 0, now); got != want {
+				t.Fatalf("seed %d at %v: AwakeUntil = %v, log scan %v", seed, now, got, want)
+			}
+			if d.Current() > floor {
+				midWake++
+				if got != now {
+					t.Fatalf("seed %d at %v: AwakeUntil mid-wake = %v", seed, now, got)
+				}
+			}
+			// A cut-off taken while asleep: once a wake has raised the
+			// current after it, the cut-off scan agrees with AwakeUntil;
+			// before that, the last fall predates the cut-off.
+			if d.Current() == floor && rng.Intn(20) == 0 {
+				start, woke = now, false
+			}
+			switch {
+			case woke:
+				cutChecks++
+				if want := refWakeEnd(log, start, now); got != want {
+					t.Fatalf("seed %d at %v: AwakeUntil = %v, scan from %v gives %v", seed, now, got, start, want)
+				}
+			case start >= 0 && got > start:
+				t.Fatalf("seed %d at %v: AwakeUntil = %v after cut-off %v with no wake since", seed, now, got, start)
+			}
+		}
+	}
+	if midWake == 0 || cutChecks == 0 {
+		t.Fatalf("mid-wake checks %d, cut-off checks %d: the drive missed a case", midWake, cutChecks)
+	}
 }

@@ -119,26 +119,10 @@ func MeasureWiLE() (episode Episode, fullCycle units.Joules, err error) {
 		return Episode{}, 0, fmt.Errorf("experiment: Wi-LE beacon not received by monitor")
 	}
 
-	// TX-window energy: charge drawn at the TX burst current.
-	var txCharge units.Coulombs
-	var wakeEnd sim.Time
-	steps := sensor.Dev.Steps()
-	for i, s := range steps {
-		end := w.sched.Now()
-		if i+1 < len(steps) {
-			end = steps[i+1].At
-		}
-		if s.Current == esp32.TxBurstCurrent {
-			txCharge += units.Charge(s.Current, end.Sub(s.At))
-		}
-		if s.Current > esp32.StateCurrent(esp32.StateDeepSleep) {
-			wakeEnd = end
-		}
-	}
 	fullCycle = sensor.Dev.Energy()
 	return Episode{
-		Energy:      txCharge.Energy(esp32.Voltage),
-		Duration:    wakeEnd.Sub(start),
+		Energy:      sensor.Dev.TxCharge().Energy(esp32.Voltage),
+		Duration:    sensor.Dev.AwakeUntil().Sub(start),
 		IdleCurrent: esp32.StateCurrent(esp32.StateDeepSleep),
 		Voltage:     esp32.Voltage,
 	}, fullCycle, nil
@@ -171,9 +155,17 @@ func MeasureWiFiDC() (Episode, error) {
 	w := newWorld()
 	w.newAP()
 	station := w.newStation()
-	dev := station.Dev
+	return dutyCycleEpisode(w, station, "WiFi-DC")
+}
 
+// dutyCycleEpisode measures one duty-cycle wake of station from now: boot,
+// (re)join, one datagram, deep sleep. The episode energy excludes the
+// deep-sleep floor drawn outside the wake, which starts with the CPU
+// raised at now and lasts until the device is back at the floor.
+func dutyCycleEpisode(w *world, station *sta.Station, name string) (Episode, error) {
+	dev := station.Dev
 	start := w.sched.Now()
+	before := dev.Energy()
 	var joinErr error
 	var txOK *bool
 	dev.SetState(esp32.StateCPUActive)
@@ -191,33 +183,24 @@ func MeasureWiFiDC() (Episode, error) {
 			}
 		})
 	})
-	w.sched.RunUntil(5 * sim.Second)
+	w.sched.RunUntil(start + 5*sim.Second)
 	if joinErr != nil {
-		return Episode{}, fmt.Errorf("experiment: WiFi-DC join: %w", joinErr)
+		return Episode{}, fmt.Errorf("experiment: %s join: %w", name, joinErr)
 	}
 	if txOK == nil || !*txOK {
-		return Episode{}, fmt.Errorf("experiment: WiFi-DC transmission did not complete")
+		return Episode{}, fmt.Errorf("experiment: %s transmission did not complete", name)
 	}
 
-	var wakeEnd sim.Time
-	steps := dev.Steps()
-	for i, s := range steps {
-		end := w.sched.Now()
-		if i+1 < len(steps) {
-			end = steps[i+1].At
-		}
-		if s.Current > esp32.StateCurrent(esp32.StateDeepSleep) {
-			wakeEnd = end
-		}
-	}
-	duration := wakeEnd.Sub(start)
+	// AwakeUntil takes no start: the wake raises the current at start, so
+	// the device's last fall to the floor ends this episode, never an
+	// earlier one.
+	duration := dev.AwakeUntil().Sub(start)
 	idle := esp32.StateCurrent(esp32.StateDeepSleep)
-	total := dev.Energy()
 	// Subtract the deep-sleep floor outside the episode (negligible, but
 	// keep the arithmetic honest).
 	sleep := units.Energy(units.Power(esp32.Voltage, idle), w.sched.Now().Sub(start)-duration)
 	return Episode{
-		Energy:      total - sleep,
+		Energy:      dev.Energy() - before - sleep,
 		Duration:    duration,
 		IdleCurrent: idle,
 		Voltage:     esp32.Voltage,
@@ -291,60 +274,10 @@ func MeasureWiFiDCFast() (Episode, error) {
 	if firstErr != nil || !station.Joined() {
 		return Episode{}, fmt.Errorf("experiment: priming join: %v", firstErr)
 	}
-	lease := station.CurrentLease()
-	station.Cfg.CachedLease = lease
+	station.Cfg.CachedLease = station.CurrentLease()
 	station.Sleep()
 	w.sched.RunFor(time.Second)
 
 	// Cycle 2: measured fast rejoin.
-	start := w.sched.Now()
-	before := dev.Energy()
-	var joinErr error
-	var txOK *bool
-	dev.SetState(esp32.StateCPUActive)
-	dev.PlaySegments(esp32.BootWiFi(), func() {
-		station.Join(func(err error) {
-			if err != nil {
-				joinErr = err
-				return
-			}
-			if err := station.SendReading([]byte("temp=17.0"), 5683, func(ok bool) {
-				txOK = &ok
-				station.Sleep()
-			}); err != nil {
-				joinErr = err
-			}
-		})
-	})
-	w.sched.RunUntil(start + 5*sim.Second)
-	if joinErr != nil {
-		return Episode{}, fmt.Errorf("experiment: fast rejoin: %w", joinErr)
-	}
-	if txOK == nil || !*txOK {
-		return Episode{}, fmt.Errorf("experiment: fast-rejoin transmission incomplete")
-	}
-
-	var wakeEnd sim.Time
-	steps := dev.Steps()
-	for i, s := range steps {
-		if s.At < start {
-			continue
-		}
-		end := w.sched.Now()
-		if i+1 < len(steps) {
-			end = steps[i+1].At
-		}
-		if s.Current > esp32.StateCurrent(esp32.StateDeepSleep) {
-			wakeEnd = end
-		}
-	}
-	duration := wakeEnd.Sub(start)
-	idle := esp32.StateCurrent(esp32.StateDeepSleep)
-	episode := dev.Energy() - before - units.Energy(units.Power(esp32.Voltage, idle), w.sched.Now().Sub(start)-duration)
-	return Episode{
-		Energy:      episode,
-		Duration:    duration,
-		IdleCurrent: idle,
-		Voltage:     esp32.Voltage,
-	}, nil
+	return dutyCycleEpisode(w, station, "fast-rejoin")
 }
