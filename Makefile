@@ -55,6 +55,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseElements -fuzztime=30s ./internal/dot11/
 	$(GO) test -fuzz=FuzzParseTIM -fuzztime=30s ./internal/dot11/
 	$(GO) test -fuzz=FuzzParseRSN -fuzztime=30s ./internal/dot11/
+	$(GO) test -fuzz=FuzzParseHTCapabilities -fuzztime=30s ./internal/dot11/
+	$(GO) test -fuzz=FuzzParseHTOperation -fuzztime=30s ./internal/dot11/
 	$(GO) test -fuzz=FuzzParseFragment -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzReadingsRoundTrip -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzParseEAPOLKey -fuzztime=30s ./internal/crypto80211/

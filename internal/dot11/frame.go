@@ -8,8 +8,9 @@ import (
 )
 
 // Header is the MAC header shared by management and data frames (24 bytes
-// on the wire). Control frames carry abbreviated headers handled by their
-// concrete types.
+// on the wire). Every frame type that carries one embeds it, which gives
+// it RA and TA and makes it visible to HeaderOf. Control frames carry
+// abbreviated headers handled by their concrete types.
 type Header struct {
 	FC FrameControl
 	// DurationID is the NAV duration in microseconds (or the AID for
@@ -29,6 +30,27 @@ type Header struct {
 }
 
 const mgmtHeaderLen = 24
+
+// RA implements Frame for every full-header frame: Addr1.
+func (h *Header) RA() MAC { return h.Addr1 }
+
+// TA implements Frame for every full-header frame: Addr2.
+func (h *Header) TA() MAC { return h.Addr2 }
+
+// header is what HeaderOf asserts on. It is unexported, so only the
+// frame types of this package, through their embedded Header, have it.
+func (h *Header) header() *Header { return h }
+
+// HeaderOf returns f's MAC header, or nil when f is a control frame with
+// an abbreviated header (ACK, CTS, RTS, PS-Poll). Sequence control, the
+// retry bit and duplicate detection reach the header through it, so the
+// list of full-header frame types lives only in this package.
+func HeaderOf(f Frame) *Header {
+	if h, ok := f.(interface{ header() *Header }); ok {
+		return h.header()
+	}
+	return nil
+}
 
 // fcsLen is the length of the frame check sequence.
 const fcsLen = 4

@@ -593,3 +593,51 @@ func TestActionFrameTruncated(t *testing.T) {
 		t.Fatalf("public action: %+v", got)
 	}
 }
+
+// TestHeaderOfFullHeaderKinds walks every kind newFrame builds: HeaderOf
+// must find a header on exactly the ten full-header frame types, and after
+// a decode RA/TA must read Addr1/Addr2 of that header.
+func TestHeaderOfFullHeaderKinds(t *testing.T) {
+	fullHeader := func(f Frame) bool {
+		switch f.(type) {
+		case *Beacon, *ProbeReq, *ProbeResp, *Auth, *AssocReq, *AssocResp,
+			*Deauth, *Disassoc, *Action, *Data:
+			return true
+		}
+		return false
+	}
+	a1, a2, a3 := MustParseMAC("02:00:00:00:00:01"), MustParseMAC("02:00:00:00:00:02"), MustParseMAC("02:00:00:00:00:03")
+	withHeader := map[reflect.Type]bool{}
+	for typ := TypeManagement; typ <= TypeData; typ++ {
+		for sub := Subtype(0); sub < 16; sub++ {
+			k := Kind{typ, sub}
+			f, err := newFrame(k)
+			if err != nil {
+				continue
+			}
+			h := HeaderOf(f)
+			if (h != nil) != fullHeader(f) {
+				t.Errorf("%v: HeaderOf non-nil = %v, want %v", k, h != nil, fullHeader(f))
+				continue
+			}
+			if h == nil {
+				continue
+			}
+			withHeader[reflect.TypeOf(f)] = true
+			h.FC = FrameControl{Type: typ, Subtype: sub}
+			h.Addr1, h.Addr2, h.Addr3 = a1, a2, a3
+			got := roundTrip(t, f)
+			gh := HeaderOf(got)
+			if gh == nil || gh.Addr1 != a1 || gh.Addr2 != a2 || gh.Addr3 != a3 {
+				t.Errorf("%v: decoded header %+v", k, gh)
+				continue
+			}
+			if got.RA() != gh.Addr1 || got.TA() != gh.Addr2 {
+				t.Errorf("%v: RA/TA = %v/%v, want Addr1/Addr2 = %v/%v", k, got.RA(), got.TA(), gh.Addr1, gh.Addr2)
+			}
+		}
+	}
+	if len(withHeader) != 10 {
+		t.Errorf("%d frame types carry a full header, want 10: %v", len(withHeader), withHeader)
+	}
+}

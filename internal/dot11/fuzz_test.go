@@ -155,3 +155,44 @@ func FuzzParseRSN(f *testing.F) {
 		}
 	})
 }
+
+func FuzzParseHTCapabilities(f *testing.F) {
+	f.Add(HTCapabilitiesElement(SingleStreamHTCapabilities()).Info)
+	f.Add(HTCapabilitiesElement(HTCapabilities{GreenfieldSupport: true}).Info)
+	f.Add(make([]byte, 25))
+	f.Add(bytes.Repeat([]byte{0xff}, 30))
+	f.Fuzz(func(t *testing.T, info []byte) {
+		c, err := ParseHTCapabilities(info)
+		if err != nil {
+			return
+		}
+		back, err := ParseHTCapabilities(HTCapabilitiesElement(c).Info)
+		if err != nil {
+			t.Fatalf("re-encoded HT capabilities do not parse: %v", err)
+		}
+		if back != c {
+			t.Fatalf("round trip changed HT capabilities: %+v → %+v", c, back)
+		}
+	})
+}
+
+func FuzzParseHTOperation(f *testing.F) {
+	o := HTOperation{PrimaryChannel: 6}
+	o.BasicMCSSet[0] = 0xff
+	f.Add(HTOperationElement(o).Info)
+	f.Add(make([]byte, 21))
+	f.Add(bytes.Repeat([]byte{0xff}, 24))
+	f.Fuzz(func(t *testing.T, info []byte) {
+		op, err := ParseHTOperation(info)
+		if err != nil {
+			return
+		}
+		back, err := ParseHTOperation(HTOperationElement(op).Info)
+		if err != nil {
+			t.Fatalf("re-encoded HT operation does not parse: %v", err)
+		}
+		if back != op {
+			t.Fatalf("round trip changed HT operation: %+v → %+v", op, back)
+		}
+	})
+}

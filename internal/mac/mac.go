@@ -77,8 +77,9 @@ type Port struct {
 	// Monitor's owner: when set, the port still resolves undecodable frames
 	// (fcs_error / decode_error — a Monitor never sees those) but leaves
 	// every decoded frame's outcome (delivered / dedup_filtered) to whoever
-	// installed the Monitor. The Scanner sets it because its beacon pipeline
-	// — not the 802.11 duplicate cache — decides what counts as filtered.
+	// installed the Monitor, which records it with Resolve. The Scanner
+	// sets it because its beacon pipeline — not the 802.11 duplicate
+	// cache — decides what counts as filtered.
 	ProvDelegate bool
 	// ReleaseAfterMonitor lets a monitor opt back in to frame recycling:
 	// setting it promises that Monitor is done with the frame (and
@@ -219,16 +220,12 @@ func rxName(f dot11.Frame) string {
 // queue, but nothing will transmit or be received until power returns.
 func (p *Port) SetRadioOn(on bool) { p.trx.SetOn(on) }
 
-// Provenance exposes the medium's frame ledger and this port's actor id,
-// so a ProvDelegate owner can resolve the outcomes the port leaves to it.
-func (p *Port) Provenance() (*obs.Provenance, obs.ActorID) {
-	return p.med.Prov, p.trx.ProvID()
-}
-
-// resolve records rx's terminal outcome at this receiver. Collided
-// receptions were already resolved by the medium, and a nil ledger means
-// provenance is off; both make this a no-op.
-func (p *Port) resolve(rx medium.Reception, reason obs.DropReason) {
+// Resolve records rx's terminal provenance outcome at this receiver. The
+// port calls it for every frame it owns; a ProvDelegate owner calls it for
+// the decoded frames the port leaves to it. Collided receptions were
+// already resolved by the medium, and a nil ledger means provenance is off;
+// both make this a no-op.
+func (p *Port) Resolve(rx medium.Reception, reason obs.DropReason) {
 	if rx.Collided {
 		return
 	}
@@ -241,7 +238,7 @@ func (p *Port) resolve(rx medium.Reception, reason obs.DropReason) {
 // port hands those outcomes to its Monitor's owner (ProvDelegate).
 func (p *Port) resolveDecoded(rx medium.Reception, reason obs.DropReason) {
 	if !p.ProvDelegate {
-		p.resolve(rx, reason)
+		p.Resolve(rx, reason)
 	}
 }
 
@@ -264,25 +261,8 @@ func (p *Port) nextSeq() uint16 {
 
 // setSequence stamps the frame's header if it has a full MAC header.
 func setSequence(f dot11.Frame, seq uint16) {
-	switch t := f.(type) {
-	case *dot11.Beacon:
-		t.Header.Sequence = seq
-	case *dot11.ProbeReq:
-		t.Header.Sequence = seq
-	case *dot11.ProbeResp:
-		t.Header.Sequence = seq
-	case *dot11.Auth:
-		t.Header.Sequence = seq
-	case *dot11.AssocReq:
-		t.Header.Sequence = seq
-	case *dot11.AssocResp:
-		t.Header.Sequence = seq
-	case *dot11.Deauth:
-		t.Header.Sequence = seq
-	case *dot11.Disassoc:
-		t.Header.Sequence = seq
-	case *dot11.Data:
-		t.Header.Sequence = seq
+	if h := dot11.HeaderOf(f); h != nil {
+		h.Sequence = seq
 	}
 }
 
@@ -443,36 +423,15 @@ func (p *Port) ackTimeout(out *outgoing) {
 }
 
 // markRetry sets the retry bit in the serialized frame and fixes the FCS.
+// Control frames carry no retry bit and are re-marshalled unchanged.
 func markRetry(out *outgoing) {
-	raw, err := dot11.Marshal(withRetry(out.frame))
+	if h := dot11.HeaderOf(out.frame); h != nil {
+		h.FC.Retry = true
+	}
+	raw, err := dot11.Marshal(out.frame)
 	if err == nil {
 		out.raw = raw
 	}
-}
-
-// withRetry flips the retry bit on the frame's header.
-func withRetry(f dot11.Frame) dot11.Frame {
-	switch t := f.(type) {
-	case *dot11.Beacon:
-		t.Header.FC.Retry = true
-	case *dot11.ProbeReq:
-		t.Header.FC.Retry = true
-	case *dot11.ProbeResp:
-		t.Header.FC.Retry = true
-	case *dot11.Auth:
-		t.Header.FC.Retry = true
-	case *dot11.AssocReq:
-		t.Header.FC.Retry = true
-	case *dot11.AssocResp:
-		t.Header.FC.Retry = true
-	case *dot11.Deauth:
-		t.Header.FC.Retry = true
-	case *dot11.Disassoc:
-		t.Header.FC.Retry = true
-	case *dot11.Data:
-		t.Header.FC.Retry = true
-	}
-	return f
 }
 
 // finish completes the current frame and moves on.
@@ -497,9 +456,9 @@ func (p *Port) receive(rx medium.Reception) {
 		// decode error.
 		var fcs *dot11.ErrFCS
 		if errors.As(err, &fcs) {
-			p.resolve(rx, obs.DropFCSError)
+			p.Resolve(rx, obs.DropFCSError)
 		} else {
-			p.resolve(rx, obs.DropDecodeError)
+			p.Resolve(rx, obs.DropDecodeError)
 		}
 		return
 	}
@@ -577,41 +536,17 @@ func (p *Port) release(f dot11.Frame) {
 	}
 }
 
-// frameSeqCtl reads a frame's sequence/fragment pair, if it carries one.
-func frameSeqCtl(f dot11.Frame) (uint16, bool) {
-	switch t := f.(type) {
-	case *dot11.Beacon:
-		return t.Header.Sequence<<4 | uint16(t.Header.Fragment), true
-	case *dot11.ProbeReq:
-		return t.Header.Sequence<<4 | uint16(t.Header.Fragment), true
-	case *dot11.ProbeResp:
-		return t.Header.Sequence<<4 | uint16(t.Header.Fragment), true
-	case *dot11.Auth:
-		return t.Header.Sequence<<4 | uint16(t.Header.Fragment), true
-	case *dot11.AssocReq:
-		return t.Header.Sequence<<4 | uint16(t.Header.Fragment), true
-	case *dot11.AssocResp:
-		return t.Header.Sequence<<4 | uint16(t.Header.Fragment), true
-	case *dot11.Deauth:
-		return t.Header.Sequence<<4 | uint16(t.Header.Fragment), true
-	case *dot11.Disassoc:
-		return t.Header.Sequence<<4 | uint16(t.Header.Fragment), true
-	case *dot11.Data:
-		return t.Header.Sequence<<4 | uint16(t.Header.Fragment), true
-	}
-	return 0, false
-}
-
 // isDuplicate implements the receiver duplicate-detection cache
 // (IEEE 802.11-2016 §10.3.2.11): the last sequence-control value accepted
 // from each transmitter; a match means a retransmission whose original
 // already reached us.
 func (p *Port) isDuplicate(f dot11.Frame) bool {
-	seqCtl, ok := frameSeqCtl(f)
-	if !ok {
+	h := dot11.HeaderOf(f)
+	if h == nil {
 		return false
 	}
-	ta := f.TA()
+	seqCtl := h.Sequence<<4 | uint16(h.Fragment)
+	ta := h.Addr2
 	if p.rxCache == nil {
 		p.rxCache = make(map[dot11.MAC]uint16)
 	}

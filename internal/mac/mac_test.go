@@ -6,6 +6,7 @@ import (
 
 	"wile/internal/dot11"
 	"wile/internal/medium"
+	"wile/internal/obs"
 	"wile/internal/phy"
 	"wile/internal/sim"
 )
@@ -33,6 +34,27 @@ var (
 	addrB = dot11.MustParseMAC("02:00:00:00:00:0b")
 	addrC = dot11.MustParseMAC("02:00:00:00:00:0c")
 )
+
+// fullHeaderFrames builds a fresh unicast frame from addrA to addrB of
+// every kind that carries a full MAC header, so the header handling below
+// (sequence stamping, the retry bit, duplicate detection) is checked for
+// each of them rather than for the kinds a scenario happens to send.
+var fullHeaderFrames = []func() dot11.Frame{
+	func() dot11.Frame { return &dot11.Beacon{Header: headerAB()} },
+	func() dot11.Frame { return &dot11.ProbeReq{Header: headerAB()} },
+	func() dot11.Frame { return &dot11.ProbeResp{Header: headerAB()} },
+	func() dot11.Frame { return &dot11.Auth{Header: headerAB(), Seq: 1} },
+	func() dot11.Frame { return &dot11.AssocReq{Header: headerAB()} },
+	func() dot11.Frame { return &dot11.AssocResp{Header: headerAB(), AID: 1} },
+	func() dot11.Frame { return &dot11.Deauth{Header: headerAB(), Reason: dot11.ReasonLeaving} },
+	func() dot11.Frame { return &dot11.Disassoc{Header: headerAB(), Reason: dot11.ReasonLeaving} },
+	func() dot11.Frame {
+		return &dot11.Action{Header: headerAB(), Category: dot11.CategoryVendorSpecific, Body: []byte("x")}
+	},
+	func() dot11.Frame { return dot11.NewDataToAP(addrB, addrA, addrB, []byte("x")) },
+}
+
+func headerAB() dot11.Header { return dot11.Header{Addr1: addrB, Addr2: addrA, Addr3: addrB} }
 
 func TestUnicastDataWithAutoACK(t *testing.T) {
 	fx := newFixture()
@@ -122,30 +144,68 @@ func TestRetryThenDropWhenPeerDeaf(t *testing.T) {
 }
 
 func TestRetryBitSetOnRetransmission(t *testing.T) {
-	fx := newFixture()
-	a := fx.port("a", pos(0, 0), addrA, 1)
-	b := fx.port("b", pos(2, 0), addrB, 2)
-	b.SetRadioOn(false)
-	mon := fx.port("mon", pos(1, 0), addrC, 3)
-	mon.AutoACK = false
-	var seen []bool
-	mon.Monitor = func(f dot11.Frame, rx medium.Reception) {
-		if d, ok := f.(*dot11.Data); ok {
-			seen = append(seen, d.Header.FC.Retry)
-		}
+	for _, build := range fullHeaderFrames {
+		f := build()
+		t.Run(f.Kind().String(), func(t *testing.T) {
+			fx := newFixture()
+			a := fx.port("a", pos(0, 0), addrA, 1)
+			b := fx.port("b", pos(2, 0), addrB, 2)
+			b.SetRadioOn(false)
+			mon := fx.port("mon", pos(1, 0), addrC, 3)
+			mon.AutoACK = false
+			var seen []bool
+			mon.Monitor = func(g dot11.Frame, rx medium.Reception) {
+				if g.Kind() == f.Kind() {
+					seen = append(seen, dot11.HeaderOf(g).FC.Retry)
+				}
+			}
+			a.Send(f, nil)
+			fx.sched.Run()
+			if len(seen) != RetryLimit+1 {
+				t.Fatalf("monitor saw %d attempts", len(seen))
+			}
+			if seen[0] {
+				t.Fatal("first attempt has retry bit set")
+			}
+			for i := 1; i < len(seen); i++ {
+				if !seen[i] {
+					t.Fatalf("retry %d missing retry bit", i)
+				}
+			}
+		})
 	}
-	a.Send(dot11.NewDataToAP(addrB, addrA, addrB, []byte("x")), nil)
-	fx.sched.Run()
-	if len(seen) != RetryLimit+1 {
-		t.Fatalf("monitor saw %d attempts", len(seen))
-	}
-	if seen[0] {
-		t.Fatal("first attempt has retry bit set")
-	}
-	for i := 1; i < len(seen); i++ {
-		if !seen[i] {
-			t.Fatalf("retry %d missing retry bit", i)
-		}
+}
+
+// TestDuplicateDetection withholds the receiver's ACKs, so the sender
+// retransmits one frame RetryLimit times under the same sequence-control
+// value: the receiver must deliver it once and filter every repeat, both
+// in its Stats and in the provenance ledger.
+func TestDuplicateDetection(t *testing.T) {
+	for _, build := range fullHeaderFrames {
+		f := build()
+		t.Run(f.Kind().String(), func(t *testing.T) {
+			fx := newFixture()
+			prov := obs.NewProvenance()
+			fx.med.ObserveProvenance(prov)
+			a := fx.port("a", pos(0, 0), addrA, 1)
+			b := fx.port("b", pos(2, 0), addrB, 2)
+			b.AutoACK = false
+			delivered := 0
+			b.Handler = func(dot11.Frame, medium.Reception) { delivered++ }
+			a.Send(f, nil)
+			fx.sched.Run()
+			if delivered != 1 {
+				t.Errorf("handler got %d copies, want 1", delivered)
+			}
+			if b.Stats.RxDuplicates != RetryLimit {
+				t.Errorf("RxDuplicates = %d, want %d", b.Stats.RxDuplicates, RetryLimit)
+			}
+			out := prov.Outcomes()
+			if out[obs.DropDedupFiltered] != RetryLimit || out[obs.Delivered] != 1 {
+				t.Errorf("ledger: %d dedup_filtered, %d delivered; want %d and 1",
+					out[obs.DropDedupFiltered], out[obs.Delivered], RetryLimit)
+			}
+		})
 	}
 }
 
@@ -242,26 +302,32 @@ func TestReleaseAfterMonitorRecyclesFrames(t *testing.T) {
 }
 
 func TestSequenceNumbersIncrement(t *testing.T) {
-	fx := newFixture()
-	a := fx.port("a", pos(0, 0), addrA, 1)
-	mon := fx.port("mon", pos(1, 0), addrC, 3)
-	var seqs []uint16
-	mon.Monitor = func(f dot11.Frame, rx medium.Reception) {
-		if bea, ok := f.(*dot11.Beacon); ok {
-			seqs = append(seqs, bea.Header.Sequence)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		a.Send(dot11.NewBeacon(addrA, 100, 0, nil), nil)
-	}
-	fx.sched.Run()
-	if len(seqs) != 5 {
-		t.Fatalf("saw %d beacons", len(seqs))
-	}
-	for i := 1; i < len(seqs); i++ {
-		if seqs[i] != (seqs[i-1]+1)&0xfff {
-			t.Fatalf("sequence numbers not consecutive: %v", seqs)
-		}
+	for _, build := range fullHeaderFrames {
+		kind := build().Kind()
+		t.Run(kind.String(), func(t *testing.T) {
+			fx := newFixture()
+			a := fx.port("a", pos(0, 0), addrA, 1)
+			fx.port("b", pos(2, 0), addrB, 2)
+			mon := fx.port("mon", pos(1, 0), addrC, 3)
+			var seqs []uint16
+			mon.Monitor = func(f dot11.Frame, rx medium.Reception) {
+				if f.Kind() == kind {
+					seqs = append(seqs, dot11.HeaderOf(f).Sequence)
+				}
+			}
+			for i := 0; i < 5; i++ {
+				a.Send(build(), nil)
+			}
+			fx.sched.Run()
+			if len(seqs) != 5 {
+				t.Fatalf("saw %d frames", len(seqs))
+			}
+			for i := 1; i < len(seqs); i++ {
+				if seqs[i] != (seqs[i-1]+1)&0xfff {
+					t.Fatalf("sequence numbers not consecutive: %v", seqs)
+				}
+			}
+		})
 	}
 }
 

@@ -147,26 +147,6 @@ var (
 	ErrBusy        = errors.New("sta: operation already in progress")
 )
 
-// FrameCounts tallies the frames the station itself sent and received
-// during a join, by kind — the raw material for the §3.1 claim check.
-type FrameCounts struct {
-	Sent     map[string]int
-	Received map[string]int
-}
-
-func newFrameCounts() FrameCounts {
-	return FrameCounts{Sent: map[string]int{}, Received: map[string]int{}}
-}
-
-// Total sums all counters in one direction map.
-func Total(m map[string]int) int {
-	n := 0
-	for _, v := range m {
-		n += v
-	}
-	return n
-}
-
 // Station is one WiFi client.
 type Station struct {
 	Cfg  Config
@@ -179,8 +159,6 @@ type Station struct {
 	RouterMAC dot11.MAC
 	// AID is the association ID.
 	AID uint16
-	// JoinFrames records the last join's frame exchange.
-	JoinFrames FrameCounts
 	// OnDatagram, when set, receives non-DHCP UDP datagrams delivered to
 	// the station (e.g. frames bridged from another station by the AP).
 	OnDatagram func(src, dst netstack.IP, srcPort, dstPort uint16, payload []byte)
@@ -300,19 +278,9 @@ func (s *Station) Observe(reg *obs.Registry) {
 	s.Port.Observe(reg)
 }
 
-// countSent/countReceived update JoinFrames while a join is in flight.
-func (s *Station) countSent(kind string) {
-	if s.JoinFrames.Sent != nil {
-		s.JoinFrames.Sent[kind]++
-	}
-}
-
 // handle routes received frames to the active expectation and the
 // steady-state paths (EAPOL, DHCP, ARP).
 func (s *Station) handle(f dot11.Frame, rx medium.Reception) {
-	if s.JoinFrames.Received != nil && s.busy {
-		s.JoinFrames.Received[f.Kind().String()]++
-	}
 	if s.expect != nil && s.expect(f) {
 		return
 	}
@@ -383,11 +351,8 @@ func (s *Station) clearAwait() {
 	}
 }
 
-// send transmits a frame, counting it for the join log.
+// send queues a frame on the station's port.
 func (s *Station) send(f dot11.Frame, done func(ok bool)) {
-	if s.busy {
-		s.countSent(f.Kind().String())
-	}
 	if err := s.Port.Send(f, done); err != nil {
 		panic(fmt.Sprintf("sta: %v", err)) // frame construction bug
 	}
@@ -406,7 +371,6 @@ func (s *Station) Join(done func(error)) {
 		return
 	}
 	s.busy = true
-	s.JoinFrames = newFrameCounts()
 	finish := func(err error) {
 		s.busy = false
 		s.clearAwait()
