@@ -59,6 +59,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseHTOperation -fuzztime=30s ./internal/dot11/
 	$(GO) test -fuzz=FuzzParseFragment -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzReadingsRoundTrip -fuzztime=30s ./internal/core/
+	$(GO) test -fuzz=FuzzDecodeBeacon -fuzztime=30s ./internal/core/
+	$(GO) test -fuzz=FuzzPcapReader -fuzztime=30s ./internal/pcap/
+	$(GO) test -fuzz=FuzzStripRadiotap -fuzztime=30s ./internal/pcap/
 	$(GO) test -fuzz=FuzzParseEAPOLKey -fuzztime=30s ./internal/crypto80211/
 	$(GO) test -fuzz=FuzzParseAdvPDU -fuzztime=30s ./internal/ble/
 	$(GO) test -fuzz=FuzzParseOnAir -fuzztime=30s ./internal/ble/

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"wile/internal/dot11"
 )
 
 func testKey(t *testing.T) *Key {
@@ -24,19 +26,32 @@ func encodeDecode(t *testing.T, m *Message, key *Key) *Message {
 	if err != nil {
 		t.Fatal(err)
 	}
-	headers := make([]*FragmentHeader, 0, len(frags))
 	for _, f := range frags {
-		h, err := ParseFragment(f)
-		if err != nil {
+		if err := parseFragment(f, new(FragmentHeader)); err != nil {
 			t.Fatal(err)
 		}
-		headers = append(headers, h)
 	}
-	got, err := Reassemble(headers, key)
+	got, err := decodeFragments(frags, key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return got
+}
+
+// fragmentBeacon carries fragment payloads in a beacon's Wi-LE vendor
+// elements, in the given order.
+func fragmentBeacon(frags [][]byte) *dot11.Beacon {
+	els := make(dot11.Elements, 0, len(frags))
+	for _, f := range frags {
+		els = append(els, dot11.Element{ID: dot11.ElementVendor, Info: append(OUI[:len(OUI):len(OUI)], f...)})
+	}
+	return &dot11.Beacon{Elements: els}
+}
+
+// decodeFragments decodes a fragment set the way a scanner holding key
+// would.
+func decodeFragments(frags [][]byte, key *Key) (*Message, error) {
+	return DecodeBeacon(fragmentBeacon(frags), func(uint32) *Key { return key })
 }
 
 func TestMessageRoundTripPlain(t *testing.T) {
@@ -154,7 +169,7 @@ func TestNegativeTemperature(t *testing.T) {
 func TestUnknownReadingTypePreserved(t *testing.T) {
 	// Forward compatibility: an unknown TLV type decodes as raw bytes.
 	body := []byte{99, 3, 0xaa, 0xbb, 0xcc}
-	readings, err := parseReadings(body)
+	readings, err := parseReadings(nil, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,17 +182,17 @@ func TestParseFragmentErrors(t *testing.T) {
 	m := &Message{DeviceID: 1, Seq: 1, Readings: []Reading{Counter(1)}}
 	frags, _ := m.Encode(nil)
 	good := frags[0]
-	if _, err := ParseFragment(good[:5]); err == nil {
+	if err := parseFragment(good[:5], new(FragmentHeader)); err == nil {
 		t.Error("short fragment parsed")
 	}
 	bad := append([]byte(nil), good...)
 	bad[0] = 9 // wrong version
-	if _, err := ParseFragment(bad); err == nil {
+	if err := parseFragment(bad, new(FragmentHeader)); err == nil {
 		t.Error("wrong version parsed")
 	}
 	bad2 := append([]byte(nil), good...)
 	bad2[8] = 0x10 // index 1 of total 0
-	if _, err := ParseFragment(bad2); err == nil {
+	if err := parseFragment(bad2, new(FragmentHeader)); err == nil {
 		t.Error("invalid frag counts parsed")
 	}
 }
@@ -189,27 +204,47 @@ func TestReassembleErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var headers []*FragmentHeader
-	for _, f := range frags {
-		h, _ := ParseFragment(f)
-		headers = append(headers, h)
+	if len(frags) != 3 {
+		t.Fatalf("need a 3-fragment message, got %d", len(frags))
 	}
-	if len(headers) < 2 {
-		t.Fatalf("need multi-fragment message, got %d", len(headers))
+	pair, err := (&Message{DeviceID: 2, Seq: 2, Readings: []Reading{RawReading(raw[:250])}}).Encode(nil)
+	if err != nil || len(pair) != 2 {
+		t.Fatalf("need a 2-fragment message, got %d (%v)", len(pair), err)
 	}
-	if _, err := Reassemble(headers[:1], nil); err == nil {
-		t.Error("incomplete set reassembled")
+	if _, err := decodeFragments(pair, nil); err != nil {
+		t.Fatalf("intact 2-fragment message: %v", err)
 	}
-	if _, err := Reassemble(nil, nil); err == nil {
-		t.Error("empty set reassembled")
+	// with returns a copy of frag with byte at set to v.
+	with := func(frag []byte, at int, v byte) []byte {
+		f := append([]byte(nil), frag...)
+		f[at] = v
+		return f
 	}
-	// Mixed device IDs rejected.
-	mixed := append([]*FragmentHeader{}, headers...)
-	clone := *headers[1]
-	clone.DeviceID++
-	mixed[1] = &clone
-	if _, err := Reassemble(mixed, nil); err == nil {
-		t.Error("mixed-device set reassembled")
+	for _, tc := range []struct {
+		name  string
+		frags [][]byte
+	}{
+		{"incomplete set", frags[:1]},
+		{"empty set", nil},
+		{"mixed device IDs", [][]byte{frags[0], with(frags[1], 5, frags[1][5]+1), frags[2]}},
+		{"mixed sequence numbers", [][]byte{frags[0], frags[1], with(frags[2], 7, frags[2][7]+1)}},
+		{"mixed flags", [][]byte{frags[0], with(frags[1], 1, flagDownlink), frags[2]}},
+		{"duplicate index", [][]byte{frags[0], frags[1], frags[1]}},
+		// {idx 0, total 2} and {idx 1, total 3} look complete to a check
+		// that reads Total from fragment 0 only.
+		{"totals disagree", [][]byte{pair[0], with(pair[1], 8, 1<<4|3)}},
+	} {
+		if msg, err := decodeFragments(tc.frags, nil); err == nil {
+			t.Errorf("%s: decoded %+v", tc.name, msg)
+		}
+		if msg, err := oracleDecodeBeacon(fragmentBeacon(tc.frags), nil); err == nil {
+			t.Errorf("%s: the reference decoded %+v", tc.name, msg)
+		}
+	}
+	// Element order does not matter.
+	got, err := decodeFragments([][]byte{frags[2], frags[0], frags[1]}, nil)
+	if err != nil || len(got.Readings) != 3 || !bytes.Equal(got.Readings[2].Raw, raw[500:]) {
+		t.Fatalf("reordered fragments: %+v, %v", got, err)
 	}
 }
 
@@ -268,11 +303,10 @@ func TestSealedWrongKeyRejected(t *testing.T) {
 	k2, _ := NewKey([]byte("fedcba9876543210"))
 	m := &Message{DeviceID: 1, Seq: 1, Readings: []Reading{Counter(9)}}
 	frags, _ := m.Encode(k)
-	h, _ := ParseFragment(frags[0])
-	if _, err := Reassemble([]*FragmentHeader{h}, k2); err == nil {
+	if _, err := decodeFragments(frags, k2); err == nil {
 		t.Fatal("wrong key accepted")
 	}
-	if _, err := Reassemble([]*FragmentHeader{h}, nil); err != ErrNoKey {
+	if _, err := decodeFragments(frags, nil); err != ErrNoKey {
 		t.Fatalf("nil key: %v, want ErrNoKey", err)
 	}
 }
@@ -284,11 +318,10 @@ func TestSealedTamperRejected(t *testing.T) {
 	for i := headerLen; i < len(frags[0]); i++ {
 		bad := append([]byte(nil), frags[0]...)
 		bad[i] ^= 0x01
-		h, err := ParseFragment(bad)
-		if err != nil {
+		if err := parseFragment(bad, new(FragmentHeader)); err != nil {
 			continue
 		}
-		if _, err := Reassemble([]*FragmentHeader{h}, k); err == nil {
+		if _, err := decodeFragments([][]byte{bad}, k); err == nil {
 			t.Fatalf("tampered byte %d accepted", i)
 		}
 	}

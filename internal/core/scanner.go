@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"wile/internal/dot11"
 	"wile/internal/mac"
@@ -78,6 +79,7 @@ type Scanner struct {
 	Stats ScannerStats
 
 	devices map[uint32]*DeviceRecord
+	dec     decoder
 }
 
 // ScannerStats counts receiver events.
@@ -108,9 +110,10 @@ func NewScanner(sched *sim.Scheduler, med *medium.Medium, cfg ScannerConfig) *Sc
 		phy.SensitivityWiFiMCS7, sim.NewRand(cfg.Seed))
 	sc.Port.AutoACK = false
 	sc.Port.Monitor = sc.handleFrame
-	// handleFrame copies everything it keeps (Reassemble and the device
-	// records hold no references into the beacon), so the scanner can hand
-	// frames straight back to the decode pool.
+	// handleFrame copies everything it keeps (decoded messages and the
+	// device records hold no references into the beacon, and the decoder
+	// clears its slots), so the scanner can hand frames straight back to
+	// the decode pool.
 	sc.Port.ReleaseAfterMonitor = true
 	// The scanner owns the decoded-frame provenance outcomes: the Wi-LE
 	// pipeline, not the 802.11 duplicate cache, decides what counts as
@@ -159,27 +162,113 @@ func (sc *Scanner) keyFor(deviceID uint32) *Key {
 }
 
 // DecodeBeacon extracts a Wi-LE message from a beacon, or an error if the
-// beacon carries none (or it fails authentication). keyFor may be nil for
-// plaintext-only deployments.
+// beacon carries none (or it fails authentication). keyFor is consulted
+// only for encrypted messages and may be nil for plaintext-only
+// deployments.
 func DecodeBeacon(b *dot11.Beacon, keyFor func(deviceID uint32) *Key) (*Message, error) {
-	payloads := b.Elements.Vendors(OUI)
-	if len(payloads) == 0 {
+	var d decoder
+	return d.decode(b, keyFor)
+}
+
+// decoder reassembles a beacon's Wi-LE message. Fragments land in the
+// slot named by their Index, so no fragment list is built or sorted. A
+// Scanner owns one and reuses its slots and join buffer; DecodeBeacon
+// runs one on the stack.
+type decoder struct {
+	frags [maxFragments]FragmentHeader
+	join  []byte
+}
+
+// decoded is a decoded message together with the backing array for one
+// reading, so a one-reading message (every message the default Sample and
+// the paper experiments send) takes one allocation; a longer one grows a
+// slice of its own. The message is always fresh: OnMessage callers and
+// DeviceRecord.Last keep it.
+type decoded struct {
+	msg      Message
+	readings [1]Reading
+}
+
+// decode extracts b's message. The slots alias b only for the call.
+func (d *decoder) decode(b *dot11.Beacon, keyFor func(deviceID uint32) *Key) (*Message, error) {
+	m, err := d.reassemble(b.Elements, keyFor)
+	d.frags = [maxFragments]FragmentHeader{}
+	return m, err
+}
+
+// reassemble collects the Wi-LE fragments among els into their slots,
+// checks that they form one complete set, then opens and parses the body.
+// Every structural check runs before the key is looked up, so a malformed
+// set is a decode error whatever the key.
+func (d *decoder) reassemble(els dot11.Elements, keyFor func(deviceID uint32) *Key) (*Message, error) {
+	var first FragmentHeader
+	var seen uint16 // bit i: fragment i is in its slot
+	n := 0
+	for _, e := range els {
+		if e.ID != dot11.ElementVendor || len(e.Info) < len(OUI) || [3]byte(e.Info[:3]) != OUI {
+			continue
+		}
+		var h FragmentHeader
+		if err := parseFragment(e.Info[3:], &h); err != nil {
+			return nil, err
+		}
+		if n == 0 {
+			first = h
+		} else if h.Total != first.Total || h.DeviceID != first.DeviceID || h.Seq != first.Seq || h.Flags != first.Flags {
+			return nil, fmt.Errorf("core: inconsistent fragment %d", h.Index)
+		}
+		if seen&(1<<h.Index) != 0 {
+			return nil, fmt.Errorf("core: duplicate fragment %d", h.Index)
+		}
+		seen |= 1 << h.Index
+		d.frags[h.Index] = h
+		n++
+	}
+	if n == 0 {
 		return nil, ErrNotWiLE
 	}
-	frags := make([]*FragmentHeader, 0, len(payloads))
-	for _, p := range payloads {
-		h, err := ParseFragment(p)
+	if n != first.Total {
+		return nil, fmt.Errorf("core: have %d fragments, need %d", n, first.Total)
+	}
+	body := d.frags[0].Body
+	if n > 1 {
+		d.join = d.join[:0]
+		for _, f := range d.frags[:n] {
+			d.join = append(d.join, f.Body...)
+		}
+		body = d.join
+	}
+	if first.Encrypted {
+		var key *Key
+		if keyFor != nil {
+			key = keyFor(first.DeviceID)
+		}
+		if key == nil {
+			return nil, ErrNoKey
+		}
+		plain, err := key.Open(first.DeviceID, first.Seq, first.Flags, body)
 		if err != nil {
 			return nil, err
 		}
-		frags = append(frags, h)
+		body = plain
 	}
-	sort.Slice(frags, func(i, j int) bool { return frags[i].Index < frags[j].Index })
-	var key *Key
-	if keyFor != nil {
-		key = keyFor(frags[0].DeviceID)
+	var window time.Duration
+	if first.Flags&flagRxWindow != 0 {
+		if len(body) < 1 {
+			return nil, errors.New("core: rx-window flag without window byte")
+		}
+		window = time.Duration(body[0]) * rxWindowUnit
+		body = body[1:]
 	}
-	return Reassemble(frags, key)
+	out := &decoded{msg: Message{DeviceID: first.DeviceID, Seq: first.Seq, RxWindow: window, Downlink: first.Downlink}}
+	readings, err := parseReadings(out.readings[:0], body)
+	if err != nil {
+		return nil, err
+	}
+	if len(readings) > 0 {
+		out.msg.Readings = readings
+	}
+	return &out.msg, nil
 }
 
 // ErrNotWiLE marks a beacon without Wi-LE vendor elements.
@@ -197,7 +286,7 @@ func (sc *Scanner) handleFrame(f dot11.Frame, rx medium.Reception) {
 		sc.Port.Resolve(rx, obs.Delivered)
 		return
 	}
-	msg, err := DecodeBeacon(beacon, sc.keyFor)
+	msg, err := sc.dec.decode(beacon, sc.keyFor)
 	switch {
 	case errors.Is(err, ErrNotWiLE):
 		sc.Stats.OtherBeacons++

@@ -76,18 +76,25 @@ func (k *Key) nonce(deviceID uint32, seq uint16, flags byte) [aes.BlockSize]byte
 
 // Seal encrypts and authenticates plaintext, returning ciphertext||tag.
 func (k *Key) Seal(deviceID uint32, seq uint16, flags byte, plaintext []byte) []byte {
+	out := append(make([]byte, 0, len(plaintext)+TagLen), plaintext...)
+	return k.appendSealed(out, 0, deviceID, seq, flags)
+}
+
+// appendSealed encrypts dst[start:] in place and appends its tag, so a
+// message body is sealed where it was built.
+func (k *Key) appendSealed(dst []byte, start int, deviceID uint32, seq uint16, flags byte) []byte {
 	block, err := aes.NewCipher(k.enc[:])
 	if err != nil {
 		panic("core: aes.NewCipher: " + err.Error()) // KeyLen is a valid AES key size by construction
 	}
 	n := k.nonce(deviceID, seq, flags)
-	out := make([]byte, len(plaintext), len(plaintext)+TagLen)
-	cipher.NewCTR(block, n[:]).XORKeyStream(out, plaintext)
+	ct := dst[start:]
+	cipher.NewCTR(block, n[:]).XORKeyStream(ct, ct)
 
 	mac := hmac.New(sha256.New, k.mac[:])
 	mac.Write(n[:10]) // bind identity, seq, flags
-	mac.Write(out)
-	return append(out, mac.Sum(nil)[:TagLen]...)
+	mac.Write(ct)
+	return append(dst, mac.Sum(nil)[:TagLen]...)
 }
 
 // Open verifies and decrypts ciphertext||tag.

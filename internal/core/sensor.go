@@ -87,6 +87,12 @@ type Sensor struct {
 	// pendingSeq tracks the in-flight sequence number for downlink match.
 	windowOpen bool
 
+	// wakes is the free list of wake records. wakeFn and cycleDoneFn are
+	// the Run loop's callbacks, bound once in NewSensor.
+	wakes       []*wake
+	wakeFn      func()
+	cycleDoneFn func(ok bool)
+
 	// rec/track carry the optional trace recorder (TraceTo).
 	rec   *obs.Recorder
 	track obs.TrackID
@@ -108,6 +114,8 @@ func NewSensor(sched *sim.Scheduler, med *medium.Medium, cfg SensorConfig) *Sens
 		sched: sched,
 		rng:   sim.NewRand(cfg.Seed),
 	}
+	s.wakeFn = s.wakeUp
+	s.cycleDoneFn = func(bool) { s.scheduleNext() }
 	s.Sample = func() []Reading {
 		return []Reading{Counter(uint32(s.Stats.Messages))}
 	}
@@ -154,82 +162,157 @@ func (s *Sensor) Observe(reg *obs.Registry) {
 // SSID (§4.1), DS parameter, basic rates, and the message fragments as
 // vendor-specific elements.
 func BuildBeacon(bssid dot11.MAC, channel int, m *Message, key *Key) (*dot11.Beacon, error) {
-	frags, err := m.Encode(key)
-	if err != nil {
+	bb := new(beaconBuild)
+	if err := bb.build(bssid, channel, m, key); err != nil {
 		return nil, err
 	}
-	els := dot11.Elements{
-		dot11.SSIDElement(""), // hidden: keeps phone AP lists clean
-		dot11.DefaultRates(),
-		dot11.DSParamElement(channel),
+	return &bb.beacon, nil
+}
+
+// wileRates is the supported-rates set every injected beacon advertises.
+var wileRates = dot11.DefaultRates().Info
+
+// beaconBuild is an injected beacon together with every byte its elements
+// alias. build fills it in place, so a sensor's wake record rebuilds its
+// beacon without allocating once the buffers have grown to the message.
+type beaconBuild struct {
+	beacon dot11.Beacon
+	// body holds the message body; payload holds every vendor element's
+	// info (OUI + fragment) back to back.
+	body, payload []byte
+	rates         [8]byte
+	ds            [1]byte
+}
+
+// build fills bb.beacon with m's beacon.
+func (bb *beaconBuild) build(bssid dot11.MAC, channel int, m *Message, key *Key) error {
+	body, flags, err := m.appendBody(bb.body[:0], key)
+	bb.body = body
+	if err != nil {
+		return err
 	}
-	for _, f := range frags {
-		ve, err := dot11.VendorElement(OUI, f)
-		if err != nil {
-			return nil, err
-		}
-		els = append(els, ve)
+	total := fragmentCount(len(body))
+	// The vendor elements alias payload, so it is sized before the first
+	// append and never moves while they are built.
+	if need := total*(len(OUI)+headerLen) + len(body); cap(bb.payload) < need {
+		bb.payload = make([]byte, 0, need)
 	}
+	bb.ds[0] = byte(channel)
+	els := append(bb.beacon.Elements[:0],
+		dot11.Element{ID: dot11.ElementSSID, Info: bb.ds[:0:0]}, // hidden: keeps phone AP lists clean
+		dot11.Element{ID: dot11.ElementSupportedRates, Info: bb.rates[:copy(bb.rates[:], wileRates)]},
+		dot11.Element{ID: dot11.ElementDSParam, Info: bb.ds[:]},
+	)
+	payload := bb.payload[:0]
+	for i := 0; i < total; i++ {
+		start := len(payload)
+		payload = append(payload, OUI[:]...)
+		payload = m.appendFragment(payload, flags, i, total, body)
+		els = append(els, dot11.Element{ID: dot11.ElementVendor, Info: payload[start:len(payload):len(payload)]})
+	}
+	bb.payload = payload
 	// Beacon interval field: we are not a real AP, but scanners may use
 	// the field to predict the next transmission; encode the period in TU
 	// saturating at the field width.
-	return dot11.NewBeacon(bssid, 100, 0 /* neither ESS nor IBSS */, els), nil
+	bb.beacon = *dot11.NewBeacon(bssid, 100, 0 /* neither ESS nor IBSS */, els)
+	return nil
+}
+
+// wake is one TransmitOnce cycle's state: the message, the completion
+// callback, and the beacon with its build buffers. A sensor recycles its
+// records through a free list, and each record's callbacks are bound once
+// when it is made, so a wake schedules no closure. Overlapping cycles each
+// hold their own record.
+type wake struct {
+	s    *Sensor
+	msg  Message
+	done func(ok bool)
+	// ok holds the MAC outcome while the receive window stays open.
+	ok bool
+	bb beaconBuild
+
+	injectFn, closeWindowFn func()
+	sentFn                  func(ok bool)
+}
+
+// newWake takes a record from the free list, or makes one.
+func (s *Sensor) newWake() *wake {
+	if n := len(s.wakes); n > 0 {
+		w := s.wakes[n-1]
+		s.wakes[n-1] = nil
+		s.wakes = s.wakes[:n-1]
+		return w
+	}
+	w := &wake{s: s}
+	w.injectFn, w.sentFn, w.closeWindowFn = w.inject, w.sent, w.closeWindow
+	return w
 }
 
 // TransmitOnce performs one full wake cycle: boot (unless SkipBoot),
 // inject the beacon carrying readings, optionally hold the receive window
 // open, then deep-sleep. done (optional) reports MAC-level completion.
 func (s *Sensor) TransmitOnce(readings []Reading, done func(ok bool)) {
-	finish := func(ok bool) {
-		if done != nil {
-			done(ok)
-		}
-	}
-	inject := func() {
-		msg := &Message{
-			DeviceID: s.Cfg.DeviceID,
-			Seq:      s.seq,
-			Readings: readings,
-			RxWindow: s.Cfg.RxWindow,
-		}
-		s.seq++
-		beacon, err := BuildBeacon(s.BSSID(), s.Cfg.Channel, msg, s.Cfg.Key)
-		if err != nil {
-			// Only possible with oversized payloads: surface loudly.
-			panic(fmt.Sprintf("core: building beacon: %v", err))
-		}
-		s.Stats.Messages++
-		s.Stats.Fragments += len(beacon.Elements.Vendors(OUI))
-		if s.rec != nil {
-			s.rec.Instant(s.track, s.sched.Now(), "inject-beacon")
-		}
-		s.Port.SetRadioOn(true)
-		s.Dev.SetState(esp32.StateRadioListen)
-		err = s.Port.Send(beacon, func(ok bool) {
-			if s.Cfg.RxWindow > 0 {
-				// §6: hold the radio on for the announced window so a
-				// base station can inject a response.
-				s.windowOpen = true
-				s.sched.DoAfter(s.Cfg.RxWindow, func() {
-					s.windowOpen = false
-					s.sleep()
-					finish(ok)
-				})
-				return
-			}
-			s.sleep()
-			finish(ok)
-		})
-		if err != nil {
-			panic(fmt.Sprintf("core: sending beacon: %v", err))
-		}
-	}
+	w := s.newWake()
+	w.msg.Readings, w.done = readings, done
 	s.Dev.SetState(esp32.StateCPUActive)
 	if s.Cfg.SkipBoot {
-		inject()
+		w.inject()
 		return
 	}
-	s.Dev.PlaySegments(wileBoot, inject)
+	s.Dev.PlaySegments(wileBoot, w.injectFn)
+}
+
+// inject builds the beacon and hands it to the MAC.
+func (w *wake) inject() {
+	s := w.s
+	w.msg.DeviceID, w.msg.Seq, w.msg.RxWindow = s.Cfg.DeviceID, s.seq, s.Cfg.RxWindow
+	s.seq++
+	if err := w.bb.build(s.BSSID(), s.Cfg.Channel, &w.msg, s.Cfg.Key); err != nil {
+		// Only possible with oversized payloads: surface loudly.
+		panic(fmt.Sprintf("core: building beacon: %v", err))
+	}
+	s.Stats.Messages++
+	s.Stats.Fragments += fragmentCount(len(w.bb.body))
+	if s.rec != nil {
+		s.rec.Instant(s.track, s.sched.Now(), "inject-beacon")
+	}
+	s.Port.SetRadioOn(true)
+	s.Dev.SetState(esp32.StateRadioListen)
+	if err := s.Port.Send(&w.bb.beacon, w.sentFn); err != nil {
+		panic(fmt.Sprintf("core: sending beacon: %v", err))
+	}
+}
+
+// sent runs when the MAC is done with the beacon.
+func (w *wake) sent(ok bool) {
+	if rx := w.s.Cfg.RxWindow; rx > 0 {
+		// §6: hold the radio on for the announced window so a base
+		// station can inject a response.
+		w.s.windowOpen = true
+		w.ok = ok
+		w.s.sched.DoAfter(rx, w.closeWindowFn)
+		return
+	}
+	w.end(ok)
+}
+
+// closeWindow ends the receive window.
+func (w *wake) closeWindow() {
+	w.s.windowOpen = false
+	w.end(w.ok)
+}
+
+// end puts the sensor to sleep and the record back on the free list, then
+// reports the outcome.
+func (w *wake) end(ok bool) {
+	s := w.s
+	s.sleep()
+	done := w.done
+	w.msg, w.done = Message{}, nil
+	s.wakes = append(s.wakes, w)
+	if done != nil {
+		done(ok)
+	}
 }
 
 // wileBoot is the Wi-LE wake profile, built once and replayed on every
@@ -278,12 +361,15 @@ func (s *Sensor) scheduleNext() {
 		return
 	}
 	interval := time.Duration(float64(s.Cfg.Period) * s.rng.Jitter(s.Cfg.JitterPPM))
-	s.sched.DoAfter(interval, func() {
-		if !s.running {
-			return
-		}
-		s.TransmitOnce(s.Sample(), func(bool) { s.scheduleNext() })
-	})
+	s.sched.DoAfter(interval, s.wakeFn)
+}
+
+// wakeUp starts one reporting cycle of the Run loop.
+func (s *Sensor) wakeUp() {
+	if !s.running {
+		return
+	}
+	s.TransmitOnce(s.Sample(), s.cycleDoneFn)
 }
 
 // Seq reports the next sequence number (for tests).

@@ -117,6 +117,12 @@ type Port struct {
 	// New: a method value handed to the scheduler allocates a closure each
 	// time it is taken, and countdown reschedules itself every slot.
 	accessFn, postDIFSFn, countdownFn func()
+	// sentFn finishes a frame that wants no ACK, bound once in New the
+	// same way; the *outgoing travels as the event's arg.
+	sentFn func(any)
+	// scratch is the marshal buffer each MPDU is built in before it is
+	// copied out at its exact length.
+	scratch []byte
 
 	// rec/track carry the optional trace recorder (TraceTo). accessStart
 	// and awaitStart remember span openings so the closing site can emit
@@ -139,6 +145,7 @@ func New(sched *sim.Scheduler, med *medium.Medium, name string, pos medium.Posit
 		rng:     rng,
 	}
 	p.accessFn, p.postDIFSFn, p.countdownFn = p.access, p.postDIFS, p.countdown
+	p.sentFn = func(out any) { p.finish(out.(*outgoing), true) }
 	p.trx = med.Attach(name, pos, txPower, sensitivity)
 	p.trx.Handler = p.receive
 	return p
@@ -272,7 +279,7 @@ func setSequence(f dot11.Frame, seq uint16) {
 // after RetryLimit unacknowledged attempts.
 func (p *Port) Send(f dot11.Frame, done func(ok bool)) error {
 	setSequence(f, p.nextSeq())
-	raw, err := dot11.Marshal(f)
+	raw, err := p.marshal(f)
 	if err != nil {
 		return fmt.Errorf("mac: marshal %v: %w", f.Kind(), err)
 	}
@@ -281,6 +288,18 @@ func (p *Port) Send(f dot11.Frame, done func(ok bool)) error {
 	p.queue = append(p.queue, &outgoing{frame: f, raw: raw, rate: p.Rate, wantACK: wantACK, done: done})
 	p.kick()
 	return nil
+}
+
+// marshal serializes f into the port's scratch buffer and returns a copy
+// of exactly the MPDU's length. The copy must be fresh: the medium hands
+// it to every receiver, and decoded frames (and pcap monitors) alias it.
+func (p *Port) marshal(f dot11.Frame) ([]byte, error) {
+	b, err := dot11.AppendMarshal(p.scratch[:0], f)
+	p.scratch = b
+	if err != nil {
+		return nil, err
+	}
+	return append(make([]byte, 0, len(b)), b...), nil
 }
 
 // kick starts a channel-access procedure if one is not already running.
@@ -364,8 +383,12 @@ func (p *Port) transmitHead() {
 	if len(p.queue) == 0 {
 		return
 	}
+	// Pop in place: reslicing the head off would shrink the capacity and
+	// make a later append reallocate.
 	out := p.queue[0]
-	p.queue = p.queue[1:]
+	n := copy(p.queue, p.queue[1:])
+	p.queue[n] = nil
+	p.queue = p.queue[:n]
 	p.current = out
 	p.transmit(out)
 }
@@ -389,7 +412,7 @@ func (p *Port) transmit(out *outgoing) {
 		p.Radio.RadioTx(airtime)
 	}
 	if !out.wantACK {
-		p.sched.DoAfter(airtime, func() { p.finish(out, true) })
+		p.sched.DoAtArg(p.sched.Now().Add(airtime), p.sentFn, out)
 		return
 	}
 	if p.rec != nil {
@@ -416,19 +439,22 @@ func (p *Port) ackTimeout(out *outgoing) {
 		return
 	}
 	// Mark the retry bit like real hardware does and re-contend.
-	markRetry(out)
+	p.markRetry(out)
 	p.current = nil
-	p.queue = append([]*outgoing{out}, p.queue...)
+	// Requeue at the head, in place.
+	p.queue = append(p.queue, nil)
+	copy(p.queue[1:], p.queue)
+	p.queue[0] = out
 	p.kick()
 }
 
 // markRetry sets the retry bit in the serialized frame and fixes the FCS.
 // Control frames carry no retry bit and are re-marshalled unchanged.
-func markRetry(out *outgoing) {
+func (p *Port) markRetry(out *outgoing) {
 	if h := dot11.HeaderOf(out.frame); h != nil {
 		h.FC.Retry = true
 	}
-	raw, err := dot11.Marshal(out.frame)
+	raw, err := p.marshal(out.frame)
 	if err == nil {
 		out.raw = raw
 	}

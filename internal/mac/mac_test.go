@@ -427,6 +427,42 @@ func TestBackoffCountdownAllocFree(t *testing.T) {
 	}
 }
 
+// TestGroupSendAllocs pins a group-addressed Send through to its finish at
+// two allocations: the MPDU, fresh because every receiver aliases it, and
+// the outgoing record. The marshal scratch, the queue and the finish event
+// are reused.
+func TestGroupSendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the scheduler's wheel-level sync.Pool drops random Puts under the race detector; steady-state alloc counts are nondeterministic")
+	}
+	fx := newFixture()
+	a := fx.port("a", pos(0, 0), addrA, 1)
+	beacon := dot11.NewBeacon(addrA, 100, 0, dot11.Elements{dot11.SSIDElement(""), dot11.DefaultRates()})
+	sent := 0
+	done := func(ok bool) {
+		if ok {
+			sent++
+		}
+	}
+	send := func() {
+		if err := a.Send(beacon, done); err != nil {
+			t.Fatal(err)
+		}
+		fx.sched.Run()
+	}
+	for i := 0; i < 8; i++ {
+		send()
+	}
+	const runs = 100
+	if allocs := testing.AllocsPerRun(runs, send); allocs > 2 {
+		t.Fatalf("a group-addressed Send costs %v allocs, want <= 2", allocs)
+	}
+	// AllocsPerRun adds one warm-up run.
+	if want := 8 + runs + 1; sent != want {
+		t.Fatalf("%d sends finished ok, want %d", sent, want)
+	}
+}
+
 func BenchmarkUnicastExchange(b *testing.B) {
 	fx := newFixture()
 	a := fx.port("a", pos(0, 0), addrA, 1)

@@ -125,6 +125,10 @@ func (pr *Reader) ReadPacket() (Packet, error) {
 		}
 		return Packet{}, fmt.Errorf("pcap: reading record header: %w", err)
 	}
+	usec := binary.LittleEndian.Uint32(rec[4:])
+	if usec >= uint32(time.Second/time.Microsecond) {
+		return Packet{}, fmt.Errorf("pcap: record timestamp has %d microseconds", usec)
+	}
 	inclLen := binary.LittleEndian.Uint32(rec[8:])
 	if inclLen > DefaultSnapLen {
 		return Packet{}, fmt.Errorf("pcap: record length %d exceeds snaplen", inclLen)
@@ -134,7 +138,7 @@ func (pr *Reader) ReadPacket() (Packet, error) {
 		return Packet{}, fmt.Errorf("pcap: reading %d-byte record: %w", inclLen, err)
 	}
 	ts := time.Duration(binary.LittleEndian.Uint32(rec[0:]))*time.Second +
-		time.Duration(binary.LittleEndian.Uint32(rec[4:]))*time.Microsecond
+		time.Duration(usec)*time.Microsecond
 	return Packet{Time: ts, Data: data}, nil
 }
 

@@ -2,6 +2,7 @@ package pcap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -96,6 +97,23 @@ func TestTruncatedRecord(t *testing.T) {
 	}
 	if _, err := r.ReadPacket(); err == nil || errors.Is(err, io.EOF) {
 		t.Fatalf("truncated record: %v", err)
+	}
+}
+
+func TestRecordMicrosecondsOutOfRange(t *testing.T) {
+	// A microsecond field of a second or more is malformed: it would give
+	// a timestamp no writer produces.
+	var buf bytes.Buffer
+	w := NewWriter(&buf, LinkTypeIEEE80211)
+	w.WritePacket(Packet{Time: time.Second, Data: []byte{1}})
+	raw := buf.Bytes()
+	binary.LittleEndian.PutUint32(raw[24+4:], 1_000_000)
+	r, err := NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ReadPacket(); err == nil || errors.Is(err, io.EOF) {
+		t.Fatalf("record with 1,000,000 µs: %v", err)
 	}
 }
 
