@@ -63,6 +63,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzPcapReader -fuzztime=30s ./internal/pcap/
 	$(GO) test -fuzz=FuzzStripRadiotap -fuzztime=30s ./internal/pcap/
 	$(GO) test -fuzz=FuzzParseEAPOLKey -fuzztime=30s ./internal/crypto80211/
+	$(GO) test -fuzz=FuzzCCMPDecapsulate -fuzztime=30s ./internal/crypto80211/
 	$(GO) test -fuzz=FuzzParseAdvPDU -fuzztime=30s ./internal/ble/
 	$(GO) test -fuzz=FuzzParseOnAir -fuzztime=30s ./internal/ble/
 	$(GO) test -fuzz=FuzzParseAD -fuzztime=30s ./internal/ble/

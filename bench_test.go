@@ -440,10 +440,8 @@ func BenchmarkObsEnabled(b *testing.B) {
 	})
 }
 
-// BenchmarkObsExport pairs the two Recorder sinks over the same synthetic
-// event stream: the in-memory buffer against the bounded-memory spill file.
-// The pair is the cost sheet for picking a sink — streaming trades a flat
-// allocation profile (O(chunk), not O(events)) for the spill file's I/O.
+// BenchmarkObsExport records a synthetic 100k-event stream (the size of the
+// wile-trace -sched firehose) and exports it as Chrome trace-event JSON.
 func BenchmarkObsExport(b *testing.B) {
 	const events = 100_000
 	fill := func(r *obs.Recorder) {
@@ -467,23 +465,6 @@ func BenchmarkObsExport(b *testing.B) {
 			r := obs.NewRecorder()
 			fill(r)
 			if err := r.WriteChromeTrace(io.Discard); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("streaming", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			spill, err := obs.NewSpillSink(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := obs.NewStreamRecorder(spill)
-			fill(r)
-			if err := r.WriteChromeTrace(io.Discard); err != nil {
-				b.Fatal(err)
-			}
-			if err := spill.Close(); err != nil {
 				b.Fatal(err)
 			}
 		}

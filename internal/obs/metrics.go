@@ -251,7 +251,8 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		if !ok {
 			return "", false
 		}
-		return formatValue(g.Value()), true
+		var buf [32]byte
+		return string(appendValue(buf[:0], g.Value())), true
 	})
 	bw.printf("},\n  \"histograms\": {")
 	writeKind(bw, names, func(name string) (string, bool) {
@@ -264,7 +265,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		b = append(b, `{"count":`...)
 		b = strconv.AppendInt(b, count, 10)
 		b = append(b, `,"sum":`...)
-		b = append(b, formatValue(sum)...)
+		b = appendValue(b, sum)
 		b = append(b, `,"nan":`...)
 		b = strconv.AppendInt(b, h.NaNDropped(), 10)
 		b = append(b, `,"buckets":[`...)
@@ -274,7 +275,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 			}
 			b = append(b, `{"le":`...)
 			if i < len(h.bounds) {
-				b = append(b, formatValue(h.bounds[i])...)
+				b = appendValue(b, h.bounds[i])
 			} else {
 				b = append(b, `"+Inf"`...)
 			}

@@ -16,20 +16,17 @@
 // one predictable branch per hook site and zero allocations — proven by
 // BenchmarkObsDisabled. The wile-vet obsguard analyzer enforces the guard
 // mechanically. With a Recorder attached, recording one event is an append
-// into a fixed-size staging chunk; formatting work happens only at export
-// time.
+// to an in-memory slice; formatting work happens only at export time.
 //
 // Trace model. A Recorder owns a set of named tracks (one per device, MAC
 // port, or instrument) and an ordered event log of slices (Span, Begin/End),
-// instants and counter samples. The log lives in a pluggable Sink: the
-// default MemorySink buffers everything (cheap, unbounded), while a
-// SpillSink encodes full chunks to a temp file so live memory stays
-// O(chunk) however long the run — the firehose view (-sched) needs this.
-// WriteChromeTrace exports the log in the Chrome trace-event JSON format,
-// which https://ui.perfetto.dev opens directly as a timeline: tracks become
-// threads, counter tracks become counter lanes. Export is a pure function
-// of the track list and the event stream, so a spilled run exports
-// byte-identically to a buffered one.
+// instants and counter samples, held in one []Event. Every timeline the
+// simulator records is a Figure 3 window, so even the firehose view (-sched,
+// ~100k events) is a few megabytes of log. WriteChromeTrace exports the log
+// in the Chrome trace-event JSON format, which https://ui.perfetto.dev opens
+// directly as a timeline: tracks become threads, counter tracks become
+// counter lanes. Export is a pure function of the track list and the event
+// log.
 package obs
 
 import (
@@ -53,8 +50,7 @@ const (
 )
 
 // Event is one recorded trace event, stored raw and formatted only at
-// export. Sinks receive events in chunks and must replay them unchanged:
-// the export bytes are a pure function of this struct's fields.
+// export: the export bytes are a pure function of this struct's fields.
 type Event struct {
 	At    sim.Time
 	Dur   sim.Time
@@ -64,13 +60,7 @@ type Event struct {
 	Ph    byte
 }
 
-// ChunkEvents is the staging-chunk capacity of a Recorder: how many events
-// accumulate in memory before the sink sees them. At ~56 bytes per event a
-// full chunk is a few hundred kilobytes — the live-heap ceiling a spilling
-// recorder holds regardless of trace length.
-const ChunkEvents = 4096
-
-// Recorder collects sim-time-stamped trace events into a Sink.
+// Recorder collects sim-time-stamped trace events into one in-memory log.
 //
 // A Recorder is intentionally not synchronized: each simulation kernel is
 // single-goroutine by design (the experiment engine parallelizes across
@@ -79,26 +69,16 @@ const ChunkEvents = 4096
 // Recorder per point.
 type Recorder struct {
 	tracks []string
-	chunk  []Event
-	sink   Sink
-	n      int
-	err    error
+	events []Event
 	// open tracks the begin-timestamps of the open slices per track, so
 	// End can clamp a close that would travel back in time (a negative
 	// duration renders as garbage in every trace viewer).
 	open [][]sim.Time
 }
 
-// NewRecorder returns an empty recorder buffering in memory — the classic
-// unbounded recorder, right for figure-scale runs.
-func NewRecorder() *Recorder { return NewStreamRecorder(NewMemorySink()) }
-
-// NewStreamRecorder returns a recorder that flushes full staging chunks to
-// the given sink. With a SpillSink the recorder's live memory is bounded by
-// the chunk, not the trace.
-func NewStreamRecorder(sink Sink) *Recorder {
-	return &Recorder{sink: sink, chunk: make([]Event, 0, ChunkEvents)}
-}
+// NewRecorder returns an empty recorder. The log starts with room for 4096
+// events, enough for a Figure 3 timeline without the scheduler firehose.
+func NewRecorder() *Recorder { return &Recorder{events: make([]Event, 0, 4096)} }
 
 // Track registers a new timeline lane and returns its id. Tracks appear in
 // the exported trace in registration order.
@@ -112,32 +92,10 @@ func (r *Recorder) Track(name string) TrackID {
 func (r *Recorder) Tracks() int { return len(r.tracks) }
 
 // Len reports the number of recorded events.
-func (r *Recorder) Len() int { return r.n }
+func (r *Recorder) Len() int { return len(r.events) }
 
-// Err reports the first sink error, if any. The record path cannot return
-// errors (hook sites have no error plumbing), so a failing spill latches
-// here and resurfaces from WriteChromeTrace.
-func (r *Recorder) Err() error { return r.err }
-
-// record stages one event, flushing the chunk to the sink when full.
-func (r *Recorder) record(e Event) {
-	r.chunk = append(r.chunk, e)
-	r.n++
-	if len(r.chunk) == cap(r.chunk) {
-		r.flush()
-	}
-}
-
-// flush hands the staged chunk to the sink.
-func (r *Recorder) flush() {
-	if len(r.chunk) == 0 {
-		return
-	}
-	if err := r.sink.Flush(r.chunk); err != nil && r.err == nil {
-		r.err = err
-	}
-	r.chunk = r.chunk[:0]
-}
+// record appends one event to the log.
+func (r *Recorder) record(e Event) { r.events = append(r.events, e) }
 
 // Span records a complete slice [start, end) on the track. Spans may be
 // recorded at the moment they end (the natural point for a state machine
@@ -190,94 +148,117 @@ func (r *Recorder) Counter(track TrackID, at sim.Time, value float64) {
 // ObserveScheduler wires the kernel's dispatch hook to an instant event per
 // fired simulation event on the given track. This is the firehose view —
 // every timer tick and meter sample becomes an event — so figure-scale runs
-// keep it off and debugging sessions (wile-trace -sched) turn it on,
-// ideally on a spill-backed recorder (see NewSpillSink).
+// keep it off and debugging sessions (wile-trace -sched) turn it on.
 func ObserveScheduler(r *Recorder, sched *sim.Scheduler, track TrackID) {
 	sched.OnDispatch = func(at sim.Time) { r.Instant(track, at, "dispatch") }
 }
 
-// WriteChromeTrace exports the recorded events as Chrome trace-event JSON.
-// It flushes the staging chunk first; a latched sink error surfaces here.
-// The sink is left positioned for further recording, so a recorder may be
-// exported more than once.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	r.flush()
-	if r.err != nil {
-		return r.err
-	}
-	return WriteChromeTrace(w, r.tracks, r.sink)
-}
+// exportBlock is how many formatted bytes an export gathers before handing
+// them to the writer.
+const exportBlock = 32 << 10
 
-// WriteChromeTrace exports one event stream as Chrome trace-event JSON
+// WriteChromeTrace exports the recorded events as Chrome trace-event JSON
 // (the "JSON Array Format" with a traceEvents wrapper), ready for
-// https://ui.perfetto.dev or chrome://tracing. It is a pure function of
-// the track list and the replayed events: the same stream exports
-// byte-identical bytes whether it was buffered in memory or spilled to
-// disk, chunked this way or that.
-func WriteChromeTrace(w io.Writer, tracks []string, events Sink) error {
-	bw := &errWriter{w: w}
-	bw.printf("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
-	bw.printf("{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"wile-sim\"}}")
-	for i, name := range tracks {
-		bw.printf(",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%s}}", i+1, quote(name))
-		bw.printf(",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_sort_index\",\"args\":{\"sort_index\":%d}}", i+1, i+1)
-	}
-	err := events.Replay(func(chunk []Event) error {
-		for i := range chunk {
-			writeEvent(bw, tracks, &chunk[i])
+// https://ui.perfetto.dev or chrome://tracing. Export reads the log without
+// consuming it, so a recorder may be exported, record more, and be
+// exported again.
+func (r *Recorder) WriteChromeTrace(w io.Writer) error {
+	lw := lineWriter{w: w, buf: make([]byte, 0, 2*exportBlock)}
+	lw.buf = append(lw.buf, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"+
+		"{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"wile-sim\"}}"...)
+	for i, name := range r.tracks {
+		lw.buf = fmt.Appendf(lw.buf, ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%s}}", i+1, quote(name))
+		lw.buf = fmt.Appendf(lw.buf, ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_sort_index\",\"args\":{\"sort_index\":%d}}", i+1, i+1)
+		if err := lw.flush(exportBlock); err != nil {
+			return err
 		}
-		return bw.err
-	})
-	if err != nil {
-		return err
 	}
-	bw.printf("\n]}\n")
-	return bw.err
+	for i := range r.events {
+		lw.buf = appendEvent(lw.buf, r.tracks, &r.events[i])
+		if err := lw.flush(exportBlock); err != nil {
+			return err
+		}
+	}
+	lw.buf = append(lw.buf, "\n]}\n"...)
+	return lw.flush(0)
 }
 
-// writeEvent renders one event; the formatting here is the byte-identity
-// contract every Sink implementation is tested against.
-func writeEvent(bw *errWriter, tracks []string, e *Event) {
-	tid := int(e.Track) + 1
-	switch e.Ph {
-	case phSpan:
-		bw.printf(",\n{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"name\":%s}",
-			tid, micros(e.At), micros(e.Dur), quote(e.Name))
-	case phBegin:
-		bw.printf(",\n{\"ph\":\"B\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"name\":%s}",
-			tid, micros(e.At), quote(e.Name))
-	case phEnd:
-		bw.printf(",\n{\"ph\":\"E\",\"pid\":1,\"tid\":%d,\"ts\":%s}", tid, micros(e.At))
-	case phInstant:
-		bw.printf(",\n{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"name\":%s}",
-			tid, micros(e.At), quote(e.Name))
-	case phCounter:
+// appendEvent renders one event as a trace-event line.
+func appendEvent(b []byte, tracks []string, e *Event) []byte {
+	if e.Ph == phCounter {
 		// Counter series attach to the process; the track name is the
 		// series name and the single sampled value its only lane.
-		bw.printf(",\n{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":%s,\"name\":%s,\"args\":{\"value\":%s}}",
-			micros(e.At), quote(tracks[e.Track]), formatValue(e.Value))
+		b = append(b, ",\n{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":"...)
+		b = appendMicros(b, e.At)
+		b = append(b, ",\"name\":"...)
+		b = strconv.AppendQuote(b, tracks[e.Track])
+		b = append(b, ",\"args\":{\"value\":"...)
+		b = appendValue(b, e.Value)
+		return append(b, "}}"...)
 	}
+	switch e.Ph {
+	case phSpan:
+		b = append(b, ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":"...)
+	case phBegin:
+		b = append(b, ",\n{\"ph\":\"B\",\"pid\":1,\"tid\":"...)
+	case phEnd:
+		b = append(b, ",\n{\"ph\":\"E\",\"pid\":1,\"tid\":"...)
+	case phInstant:
+		b = append(b, ",\n{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":"...)
+	}
+	b = strconv.AppendInt(b, int64(e.Track)+1, 10)
+	b = append(b, ",\"ts\":"...)
+	b = appendMicros(b, e.At)
+	if e.Ph == phSpan {
+		b = append(b, ",\"dur\":"...)
+		b = appendMicros(b, e.Dur)
+	}
+	if e.Ph != phEnd {
+		b = append(b, ",\"name\":"...)
+		b = strconv.AppendQuote(b, e.Name)
+	}
+	return append(b, '}')
 }
 
-// micros renders a sim.Time (nanoseconds) as the microsecond timestamps the
-// trace format uses, with the sub-microsecond remainder as three fixed
-// decimals so distinct virtual instants never collapse. Negative times
-// carry one leading sign: -1500 ns is "-1.500", never "-1.-500".
-func micros(t sim.Time) string {
-	sign := ""
+// appendMicros renders a sim.Time (nanoseconds) as the microsecond
+// timestamps the trace format uses, with the sub-microsecond remainder as
+// three fixed decimals so distinct virtual instants never collapse.
+// Negative times carry one leading sign: -1500 ns is "-1.500", never
+// "-1.-500".
+func appendMicros(b []byte, t sim.Time) []byte {
+	u := uint64(t)
 	if t < 0 {
-		sign, t = "-", -t
+		b = append(b, '-')
+		u = -u
 	}
-	us, ns := t/1000, t%1000
-	return fmt.Sprintf("%s%d.%03d", sign, us, ns)
+	b = strconv.AppendUint(b, u/1000, 10)
+	ns := u % 1000
+	return append(b, '.', byte('0'+ns/100), byte('0'+ns/10%10), byte('0'+ns%10))
 }
 
 // quote JSON-escapes a track or event name.
 func quote(s string) string { return strconv.Quote(s) }
 
-// formatValue renders a counter sample with the shortest round-trip float
+// appendValue renders a counter sample with the shortest round-trip float
 // formatting, which is deterministic for a given bit pattern.
-func formatValue(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+func appendValue(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
+
+// lineWriter gathers formatted export lines in one reused buffer and hands
+// them to the writer in blocks, latching the first write error.
+type lineWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+// flush writes the buffer out once it holds at least min bytes.
+func (l *lineWriter) flush(min int) error {
+	if len(l.buf) >= min && l.err == nil {
+		_, l.err = l.w.Write(l.buf)
+		l.buf = l.buf[:0]
+	}
+	return l.err
+}
 
 // errWriter latches the first write error so export code reads linearly.
 type errWriter struct {

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -109,9 +111,86 @@ func TestMicrosFormatsNegatives(t *testing.T) {
 		{-210 * sim.Millisecond, "-210000.000"},
 	}
 	for _, c := range cases {
-		if got := micros(c.t); got != c.want {
-			t.Errorf("micros(%d) = %q, want %q", c.t, got, c.want)
+		if got := string(appendMicros(nil, c.t)); got != c.want {
+			t.Errorf("appendMicros(%d) = %q, want %q", c.t, got, c.want)
 		}
+	}
+}
+
+// TestChromeTraceExactBytes pins the export format of every event kind,
+// including escaped names, negative timestamps and the float edge cases the
+// counter formatter sees.
+func TestChromeTraceExactBytes(t *testing.T) {
+	r := NewRecorder()
+	dev := r.Track("dev \"a\"\n")
+	cur := r.Track("current_mA")
+	r.Span(dev, -1500, 2500, "tx\tbeacon")
+	r.Begin(dev, 1000, "cpu-active")
+	r.End(dev, 2001)
+	r.Instant(dev, 3, "é")
+	r.Counter(cur, 4, math.Copysign(0, -1))
+	r.Counter(cur, 5, math.Inf(1))
+	r.Counter(cur, 6, 0.3)
+	r.Counter(cur, 7, 1e21)
+	var buf bytes.Buffer
+	if err := r.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"displayTimeUnit":"ms","traceEvents":[
+{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"wile-sim"}},
+{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"dev \"a\"\n"}},
+{"ph":"M","pid":1,"tid":1,"name":"thread_sort_index","args":{"sort_index":1}},
+{"ph":"M","pid":1,"tid":2,"name":"thread_name","args":{"name":"current_mA"}},
+{"ph":"M","pid":1,"tid":2,"name":"thread_sort_index","args":{"sort_index":2}},
+{"ph":"X","pid":1,"tid":1,"ts":-1.500,"dur":4.000,"name":"tx\tbeacon"},
+{"ph":"B","pid":1,"tid":1,"ts":1.000,"name":"cpu-active"},
+{"ph":"E","pid":1,"tid":1,"ts":2.001},
+{"ph":"i","s":"t","pid":1,"tid":1,"ts":0.003,"name":"é"},
+{"ph":"C","pid":1,"tid":0,"ts":0.004,"name":"current_mA","args":{"value":-0}},
+{"ph":"C","pid":1,"tid":0,"ts":0.005,"name":"current_mA","args":{"value":+Inf}},
+{"ph":"C","pid":1,"tid":0,"ts":0.006,"name":"current_mA","args":{"value":0.3}},
+{"ph":"C","pid":1,"tid":0,"ts":0.007,"name":"current_mA","args":{"value":1e+21}}
+]}
+`
+	if got := buf.String(); got != want {
+		t.Fatalf("export diverged:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRecorderExportThenRecordMore: export reads the log without consuming
+// it, so recording may resume after an export, and a second export equals
+// a fresh recorder fed the whole stream.
+func TestRecorderExportThenRecordMore(t *testing.T) {
+	first := func(r *Recorder) {
+		a := r.Track("a")
+		r.Begin(a, 0, "on")
+		r.Instant(a, 1, "tick")
+	}
+	second := func(r *Recorder) {
+		b := r.Track("b")
+		r.End(0, 2)
+		r.Span(b, 3, 5, "tx")
+		r.Counter(b, 6, 1.5)
+	}
+	r := NewRecorder()
+	first(r)
+	if err := r.WriteChromeTrace(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	second(r)
+	var got bytes.Buffer
+	if err := r.WriteChromeTrace(&got); err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewRecorder()
+	first(fresh)
+	second(fresh)
+	var want bytes.Buffer
+	if err := fresh.WriteChromeTrace(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("export after resumed recording diverged:\n%s\n---\n%s", got.Bytes(), want.Bytes())
 	}
 }
 

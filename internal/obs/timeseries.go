@@ -2,10 +2,9 @@ package obs
 
 // Sim-time metrics timeline: a TimeSeries snapshots every metric in a
 // Registry on a configurable sim-time cadence, turning end-of-run totals
-// into curves (energy, throughput, drop rate over the run). Samples are
-// recorded as counter events through the ordinary chunked Recorder/Sink
-// pipeline, so long timelines spill to disk exactly like traces and the
-// exports inherit the byte-identity contract.
+// into curves (energy, throughput, drop rate over the run). Each sample
+// records every metric as a counter event in an ordinary Recorder, so the
+// exports inherit the recorder's byte-identity contract.
 //
 // Like a Recorder, a TimeSeries belongs to one simulation kernel: the
 // registry it samples must be fed only by that kernel while the series
@@ -32,16 +31,15 @@ type TimeSeries struct {
 	stopped bool
 }
 
-// NewTimeSeries builds a series sampler over reg, recording through sink
-// (NewMemorySink for figure-scale runs, NewSpillSink for long ones). A
-// non-positive cadence means DefaultSeriesCadence.
-func NewTimeSeries(reg *Registry, sink Sink, cadence time.Duration) *TimeSeries {
+// NewTimeSeries builds a series sampler over reg. A non-positive cadence
+// means DefaultSeriesCadence.
+func NewTimeSeries(reg *Registry, cadence time.Duration) *TimeSeries {
 	if cadence <= 0 {
 		cadence = DefaultSeriesCadence
 	}
 	return &TimeSeries{
 		reg:     reg,
-		rec:     NewStreamRecorder(sink),
+		rec:     NewRecorder(),
 		cadence: cadence,
 		tracks:  make(map[string]TrackID),
 	}
@@ -108,30 +106,24 @@ func (t *TimeSeries) Stop() { t.stopped = true }
 // Len reports the number of recorded sample points.
 func (t *TimeSeries) Len() int { return t.rec.Len() }
 
-// Err reports the first sink error, if any.
-func (t *TimeSeries) Err() error { return t.rec.Err() }
-
 // WriteCSV exports the series in long format (time_us,series,value), one
-// row per sampled point in record order — a pure function of the replayed
-// event stream, byte-identical however the sink chunked or spilled it.
+// row per sampled point in record order.
 func (t *TimeSeries) WriteCSV(w io.Writer) error {
-	t.rec.flush()
-	if err := t.rec.Err(); err != nil {
-		return err
-	}
-	bw := &errWriter{w: w}
-	bw.printf("time_us,series,value\n")
-	err := t.rec.sink.Replay(func(chunk []Event) error {
-		for i := range chunk {
-			e := &chunk[i]
-			bw.printf("%s,%s,%s\n", micros(e.At), t.rec.tracks[e.Track], formatValue(e.Value))
+	lw := lineWriter{w: w, buf: make([]byte, 0, 2*exportBlock)}
+	lw.buf = append(lw.buf, "time_us,series,value\n"...)
+	for i := range t.rec.events {
+		e := &t.rec.events[i]
+		lw.buf = appendMicros(lw.buf, e.At)
+		lw.buf = append(lw.buf, ',')
+		lw.buf = append(lw.buf, t.rec.tracks[e.Track]...)
+		lw.buf = append(lw.buf, ',')
+		lw.buf = appendValue(lw.buf, e.Value)
+		lw.buf = append(lw.buf, '\n')
+		if err := lw.flush(exportBlock); err != nil {
+			return err
 		}
-		return bw.err
-	})
-	if err != nil {
-		return err
 	}
-	return bw.err
+	return lw.flush(0)
 }
 
 // WriteChromeTrace exports the series as Chrome trace-event JSON counter

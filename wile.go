@@ -173,7 +173,7 @@ func NewProvenance() *Provenance { return obs.NewProvenance() }
 // cadence (≤0 selects the 10 ms default). Call Run(sched) before the
 // simulation starts and WriteCSV after it ends.
 func NewTimeSeries(reg *Registry, cadence time.Duration) *TimeSeries {
-	return obs.NewTimeSeries(reg, obs.NewMemorySink(), cadence)
+	return obs.NewTimeSeries(reg, cadence)
 }
 
 // NewSensor builds a sleeping sensor attached to the medium.
